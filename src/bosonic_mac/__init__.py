@@ -1,8 +1,8 @@
 """Gaussian-input rates, capacity regions and outer bounds for the
 two-user lossy bosonic multiple access channel with thermal noise.
 
-The scalar rate kernels live in a compiled extension with a pure-Python
-fallback selected at import time; see :mod:`bosonic_mac._kernels`.
+The scalar rate kernels live in :mod:`bosonic_mac._core_py`, reached
+through :mod:`bosonic_mac._kernels`.
 """
 
 from ._kernels import BACKEND
@@ -22,6 +22,7 @@ from .asymptotics import (
 from .gaussian_core import (
     ChannelParams,
     CovMatrix2,
+    InputError,
     PhotonBudget,
     SqueezeFractions,
     g_entropy,

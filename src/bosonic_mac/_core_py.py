@@ -1,9 +1,7 @@
-"""Pure-Python scalar kernels for the rate formulas.
+"""Scalar kernels for the rate formulas.
 
-This module is the fallback twin of the compiled extension
-``bosonic_mac._core``; ``bosonic_mac._kernels`` picks one of the two at
-import time.  Both implementations must stay in lockstep function for
-function (``tests/test_backends.py`` enforces agreement on random inputs).
+These are the package's only implementation of the closed forms; the
+other modules call them through :mod:`bosonic_mac._kernels`.
 
 Conventions used throughout:
 

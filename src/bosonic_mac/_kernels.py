@@ -1,33 +1,24 @@
-"""Kernel backend selection.
+"""The scalar rate kernels, re-exported from :mod:`bosonic_mac._core_py`.
 
-The compiled extension ``bosonic_mac._core`` is preferred when it is
-importable; otherwise the pure-Python twin ``bosonic_mac._core_py`` is
-used.  Set ``BOSONIC_MAC_PURE_PYTHON=1`` to force the fallback, e.g. when
-benchmarking or debugging.
+The rest of the package reaches the kernels through this module.
+``impl`` is the kernel module itself and ``BACKEND`` names it in
+provenance records.
 """
 
-import os
-
-if os.environ.get("BOSONIC_MAC_PURE_PYTHON") == "1":
-    from . import _core_py as impl
-else:
-    try:
-        from . import _core as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _core_py as impl  # type: ignore[no-redef]
-
-BACKEND = impl.BACKEND
-
-g_entropy = impl.g_entropy
-squeezing_cost = impl.squeezing_cost
-displacement_photons = impl.displacement_photons
-receiver_variances = impl.receiver_variances
-received_photon_pair = impl.received_photon_pair
-big_g11_raw = impl.big_g11_raw
-big_g12_raw = impl.big_g12_raw
-big_g2_raw = impl.big_g2_raw
-piecewise_rate = impl.piecewise_rate
-rate_triple = impl.rate_triple
-point_to_point_raw = impl.point_to_point_raw
-homodyne_rate_raw = impl.homodyne_rate_raw
-heterodyne_rate_raw = impl.heterodyne_rate_raw
+from . import _core_py as impl
+from ._core_py import (
+    BACKEND,
+    big_g11_raw,
+    big_g12_raw,
+    big_g2_raw,
+    displacement_photons,
+    g_entropy,
+    heterodyne_rate_raw,
+    homodyne_rate_raw,
+    piecewise_rate,
+    point_to_point_raw,
+    rate_triple,
+    received_photon_pair,
+    receiver_variances,
+    squeezing_cost,
+)

@@ -8,11 +8,12 @@ inner variable evaluated a fixed factor deeper than the outer one.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import _kernels as kernels
 from ._search import golden_section_max
-from .gaussian_core import ChannelParams, PhotonBudget, receiver_covariance
+from .gaussian_core import ChannelParams, InputError, PhotonBudget, receiver_covariance
 from .rates import (
     Receiver,
     User,
@@ -111,8 +112,8 @@ def high_power_heterodyne_ratio(
         budget = PhotonBudget(n_user, 0.0)
     else:
         budget = PhotonBudget(0.0, n_user)
-    het = receiver_individual_rates(params, budget, Receiver.HETERODYNE, user)
-    return het / outer_bound(params, budget, user)
+    bound = _reference(outer_bound(params, budget, user), params, user)
+    return receiver_individual_rates(params, budget, Receiver.HETERODYNE, user) / bound
 
 
 def high_power_heterodyne_probe(
@@ -140,7 +141,14 @@ def homodyne_asymptotic_ratio(n_a: float, params: ChannelParams, n_b_schedule):
     """
     if n_a == 0.0:
         return [(n_b, 0.0, 0.0) for n_b in n_b_schedule]
-    rub = outer_bound(params, PhotonBudget(n_a, 0.0), User.ALICE)
+    # The homodyne rate divides by eta1 and by eta1 * eta2.
+    if not params.eta1 * params.eta2 >= sys.float_info.min:
+        raise InputError(
+            "eta1" if params.eta1 <= params.eta2 else "eta2",
+            f"the homodyne receiver needs eta1 * eta2 >= {sys.float_info.min}, "
+            f"got eta1={params.eta1}, eta2={params.eta2}",
+        )
+    rub = _reference(outer_bound(params, PhotonBudget(n_a, 0.0), User.ALICE), params)
     r_cap = min(10.0, math.asinh(math.sqrt(n_a)))
     out = []
     for n_b in n_b_schedule:
@@ -196,7 +204,7 @@ def low_power_bob_first_probe(
     for n in schedule:
         budget = PhotonBudget(n, n / INNER_DEPTH)
         rate, _ = individual_rate(params, budget, User.ALICE)
-        ratios.append(rate / point_to_point(params.eta1 * params.eta2 * n, y))
+        ratios.append(rate / _reference(point_to_point(params.eta1 * params.eta2 * n, y), params))
     return LimitProbe(
         "low-power-bob-first",
         schedule,
@@ -219,7 +227,9 @@ def low_power_alice_first_probe(
         n_a = n_b / INNER_DEPTH
         budget = PhotonBudget(n_a, n_b, 0.0, math.asinh(math.sqrt(n_b)))
         rate, branch = individual_rate(params, budget, User.ALICE)
-        ratios.append(rate / point_to_point(params.eta1 * params.eta2 * n_a, y))
+        ratios.append(
+            rate / _reference(point_to_point(params.eta1 * params.eta2 * n_a, y), params)
+        )
         branches.append(int(branch))
     return LimitProbe(
         "low-power-alice-first",
@@ -250,14 +260,14 @@ class CaseThreeConfig:
     p_a: float = 0.5
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-        if not self.b > 0.0:
-            raise ValueError(f"b must be > 0, got {self.b}")
+        if not 0.0 < self.a < math.inf:
+            raise InputError("a", f"must be finite and > 0, got {self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise InputError("b", f"must be finite and > 0, got {self.b}")
         if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
+            raise InputError("kappa", f"must be in [0, 1], got {self.kappa}")
         if not 0.0 <= self.p_a <= 1.0:
-            raise ValueError(f"p_a must be in [0, 1], got {self.p_a}")
+            raise InputError("p_a", f"must be in [0, 1], got {self.p_a}")
 
 
 def max_bob_scale_branch1(a: float, eta1: float, n: float) -> float:
@@ -269,8 +279,8 @@ def max_bob_scale_branch1(a: float, eta1: float, n: float) -> float:
     never reaches the receiver.
     """
     if not 0.0 <= eta1 < 1.0:
-        raise ValueError(
-            "requires eta1 in [0, 1); at eta1 = 1 the constraint is vacuous"
+        raise InputError(
+            "eta1", f"must be in [0, 1), got {eta1}; at eta1 = 1 the constraint is vacuous"
         )
     if a <= 0.0 or n <= 0.0:
         raise ValueError("a and n must be > 0")
@@ -307,7 +317,7 @@ def low_power_simultaneous_probes(
             config.a * n, squeezed, 0.0, math.asinh(math.sqrt(squeezed))
         )
         rate, branch = individual_rate(params, budget, User.ALICE)
-        c_a = point_to_point(params.eta1 * params.eta2 * config.a * n, y)
+        c_a = _reference(point_to_point(params.eta1 * params.eta2 * config.a * n, y), params)
         b1_ratios.append(rate / c_a)
         branches.append(int(branch))
 
@@ -368,7 +378,7 @@ def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL, schedule=None):
     het_ratios, hom_ratios = [], []
     for n in schedule:
         budget = PhotonBudget(n, n)
-        r_max, _ = individual_rate(params, budget, User.ALICE)
+        r_max = _reference(individual_rate(params, budget, User.ALICE)[0], params)
         het = receiver_individual_rates(params, budget, Receiver.HETERODYNE, User.ALICE)
         hom = receiver_individual_rates(params, budget, Receiver.HOMODYNE, User.ALICE)
         het_ratios.append(het / r_max)
@@ -383,6 +393,29 @@ def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL, schedule=None):
             "receiver-gap-homodyne", schedule, tuple(hom_ratios),
             target=0.0, tolerance=0.1, metadata=meta,
         ),
+    )
+
+
+def _reference(rate: float, params: ChannelParams, user: User = User.ALICE) -> float:
+    """Return ``rate``, the denominator of a probe ratio for ``user``.
+
+    Such a rate is zero only when the user's signal is lost at the
+    receiver; the error then names the smallest factor carrying the
+    signal there: the user's share of eta1, eta2, or the thermal floor.
+    """
+    if rate > 0.0:
+        return rate
+    share = params.eta1 if user is User.ALICE else 1.0 - params.eta1
+    factors = {
+        "eta1": share,
+        "eta2": params.eta2,
+        "n_thermal": 1.0 / (1.0 + (1.0 - params.eta2) * params.n_thermal),
+    }
+    raise InputError(
+        min(factors, key=factors.get),
+        f"{user.value}'s signal does not reach the receiver, so the probe's "
+        f"reference rate is 0 (eta1={params.eta1}, eta2={params.eta2}, "
+        f"n_thermal={params.n_thermal})",
     )
 
 

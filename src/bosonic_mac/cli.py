@@ -3,9 +3,10 @@
 Subcommands: rates, surface, region, asymptotics, optimize, verify.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
-info, debug).  Exit codes: 0 success, 2 validation failure, 3 I/O
-failure, 4 verification failure.  Identical configuration and seed give
-byte-identical output.
+info, debug).  Exit codes: 0 success, 2 bad input (the message names
+the flag), 3 I/O failure, 4 verification failure; any other exception
+is a bug and surfaces as a traceback.  Identical configuration and seed
+give byte-identical output.
 """
 
 import argparse
@@ -14,9 +15,8 @@ import math
 import os
 import sys
 
-from . import _kernels as kernels
 from . import asymptotics, region, verification
-from .gaussian_core import ChannelParams, PhotonBudget
+from .gaussian_core import ChannelParams, InputError, PhotonBudget, SqueezeFractions
 from .rates import (
     Receiver,
     User,
@@ -102,14 +102,14 @@ def dumps_csv(header, rows) -> str:
 
 
 def write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            return
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(3, f"{out_path}: {exc}") from exc
+        raise CliError(3, f"{out_path or 'stdout'}: {exc}") from exc
     log.info("wrote %s", out_path)
 
 
@@ -201,45 +201,28 @@ def _require(cond: bool, field: str, message: str) -> None:
 
 
 def channel_from(settings: Settings) -> ChannelParams:
-    eta1 = settings.float_of("eta1")
-    eta2 = settings.float_of("eta2")
-    nt = settings.float_of("nt")
-    _require(0.0 <= eta1 <= 1.0, "eta1", f"must be in [0, 1], got {eta1}")
-    _require(0.0 <= eta2 <= 1.0, "eta2", f"must be in [0, 1], got {eta2}")
-    _require(nt >= 0.0, "nt", f"must be >= 0, got {nt}")
-    return ChannelParams(eta1, eta2, nt)
+    return ChannelParams(
+        settings.float_of("eta1"), settings.float_of("eta2"), settings.float_of("nt")
+    )
 
 
 def budget_from(settings: Settings) -> PhotonBudget:
     na = settings.float_of("na")
     nb = settings.float_of("nb")
-    _require(na >= 0.0, "na", f"must be >= 0, got {na}")
-    _require(nb >= 0.0, "nb", f"must be >= 0, got {nb}")
     has_r = settings.provided("ra") or settings.provided("rb")
     has_p = settings.provided("pa") or settings.provided("pb")
     if has_r and has_p:
         raise CliError(2, "pa: cannot be combined with ra/rb; give one convention")
     if has_p:
-        pa = settings.float_of("pa", 0.0)
-        pb = settings.float_of("pb", 0.0)
-        _require(0.0 <= pa <= 1.0, "pa", f"must be in [0, 1], got {pa}")
-        _require(0.0 <= pb <= 1.0, "pb", f"must be in [0, 1], got {pb}")
-        ra = math.asinh(math.sqrt(pa * na))
-        rb = math.asinh(math.sqrt(pb * nb))
-    else:
-        ra = settings.float_of("ra", 0.0)
-        rb = settings.float_of("rb", 0.0)
-        _require(math.isfinite(ra), "ra", "must be finite")
-        _require(math.isfinite(rb), "rb", "must be finite")
-        _require(
-            kernels.squeezing_cost(ra) <= na * (1 + 1e-9) + 1e-12,
-            "ra", f"squeezing cost exceeds na={na}",
-        )
-        _require(
-            kernels.squeezing_cost(rb) <= nb * (1 + 1e-9) + 1e-12,
-            "rb", f"squeezing cost exceeds nb={nb}",
-        )
-    return PhotonBudget(na, nb, ra, rb)
+        fractions = SqueezeFractions(settings.float_of("pa", 0.0), settings.float_of("pb", 0.0))
+        return fractions.budget_for(na, nb)
+    return PhotonBudget(na, nb, settings.float_of("ra", 0.0), settings.float_of("rb", 0.0))
+
+
+def grid_from(settings: Settings) -> int:
+    grid = settings.int_of("grid")
+    _require(2 <= grid <= MAX_GRID, "grid", f"must be in [2, {MAX_GRID}], got {grid}")
+    return grid
 
 
 def _channel_dict(params: ChannelParams) -> dict:
@@ -322,12 +305,15 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 
+#: Largest --grid.  A surface holds 4 * grid**2 cells in memory, about
+#: 540 MB at 513.
+MAX_GRID = 513
+
 
 def cmd_surface(settings: Settings) -> int:
     params = channel_from(settings)
     budget = budget_from(settings)
-    grid = settings.int_of("grid")
-    _require(grid >= 2, "grid", f"must be at least 2, got {grid}")
+    grid = grid_from(settings)
     surface = region.squeeze_surface(params, budget, grid_n=grid)
     rows = surface.rows()
     log.info("surface grid %dx%d over %d sign layers", grid, grid, len(surface.layers))
@@ -373,16 +359,11 @@ def cmd_region(settings: Settings) -> int:
     params = channel_from(settings)
     budget = budget_from(settings)
     encodings = _parse_encodings(settings)
-    for ra, rb in encodings:
-        _require(
-            kernels.squeezing_cost(ra) <= budget.n_a * (1 + 1e-9) + 1e-12,
-            "encoding", f"r_a={ra} costs more than na={budget.n_a}",
-        )
-        _require(
-            kernels.squeezing_cost(rb) <= budget.n_b * (1 + 1e-9) + 1e-12,
-            "encoding", f"r_b={rb} costs more than nb={budget.n_b}",
-        )
-    data = region.build_region(params, budget, encodings)
+    try:
+        data = region.build_region(params, budget, encodings)
+    except InputError as exc:
+        # Only the encodings' budgets are new to build_region.
+        raise InputError("encoding", str(exc)) from None
     doc = {
         "channel": _channel_dict(params),
         "budget": {"n_a": budget.n_a, "n_b": budget.n_b},
@@ -433,10 +414,9 @@ def cmd_asymptotics(settings: Settings) -> int:
     params = channel_from(settings)
     which = settings.str_of("lemma", "all")
     cases = settings.str_of("case")
-    kappa = settings.float_of("kappa", 1.0)
-    _require(0.0 <= kappa <= 1.0, "kappa", f"must be in [0, 1], got {kappa}")
-    p_a = settings.float_of("pa", 0.5)
-    _require(0.0 <= p_a <= 1.0, "pa", f"must be in [0, 1], got {p_a}")
+    config = asymptotics.CaseThreeConfig(
+        kappa=settings.float_of("kappa", 1.0), p_a=settings.float_of("pa", 0.5)
+    )
 
     probes = []
     if which in ("1", "all"):
@@ -454,7 +434,6 @@ def cmd_asymptotics(settings: Settings) -> int:
         if "2" in selected:
             probes.append(asymptotics.low_power_alice_first_probe(params))
         if "3" in selected:
-            config = asymptotics.CaseThreeConfig(kappa=kappa, p_a=p_a)
             probes.extend(asymptotics.low_power_simultaneous_probes(config, params))
     if which in ("receiver-gap", "all"):
         if params.n_thermal > 0.0:
@@ -486,8 +465,7 @@ def cmd_optimize(settings: Settings) -> int:
         objective = region.Objective(raw)
     except ValueError:
         raise CliError(2, f"objective: must be one of max-ra, max-rb, max-sum, got {raw!r}") from None
-    grid = settings.int_of("grid")
-    _require(grid >= 2, "grid", f"must be at least 2, got {grid}")
+    grid = grid_from(settings)
     result = region.optimize_squeezing(params, budget, objective, grid_n=grid)
     report = {
         "channel": _channel_dict(params),
@@ -507,9 +485,12 @@ def cmd_optimize(settings: Settings) -> int:
 
 def cmd_verify(settings: Settings) -> int:
     seed = settings.int_of("seed")
+    _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
     draws = settings.int_of("draws", 1000)
     _require(draws >= 1, "draws", f"must be >= 1, got {draws}")
     tolerance = settings.float_of("tolerance") if settings.provided("tolerance") else None
+    _require(tolerance is None or math.isfinite(tolerance), "tolerance",
+             f"must be finite, got {tolerance}")
     results = verification.run_all(seed, draws, tolerance)
     report = {
         "seed": seed,
@@ -589,6 +570,18 @@ COMMANDS = {
 }
 
 
+#: CLI flag of each library field whose name differs from it.
+FLAGS = {
+    "n_thermal": "nt",
+    "n_a": "na",
+    "n_b": "nb",
+    "r_a": "ra",
+    "r_b": "rb",
+    "p_a": "pa",
+    "p_b": "pb",
+}
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -599,12 +592,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"error: {FLAGS.get(exc.field, exc.field)}: {exc.message}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def run() -> None:

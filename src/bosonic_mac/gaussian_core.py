@@ -14,6 +14,31 @@ from . import _kernels as kernels
 VACUUM_VARIANCE = 0.25
 
 
+class InputError(ValueError):
+    """A rejected input value; ``field`` names the parameter it was given as."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def _require_photons(field: str, n: float) -> None:
+    if not 0.0 <= n < math.inf:
+        raise InputError(field, f"must be finite and >= 0, got {n}")
+
+
+def _require_squeezing(field: str, n: float, r: float) -> None:
+    if not math.isfinite(r):
+        raise InputError(field, f"must be finite, got {r}")
+    try:
+        kernels.displacement_photons(n, r)
+    except (ValueError, OverflowError):
+        raise InputError(
+            field, f"squeezing cost sinh({r})^2 exceeds the photon budget {n}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical channel: two coupling transmissivities and the thermal occupation.
@@ -28,11 +53,10 @@ class ChannelParams:
 
     def __post_init__(self):
         if not 0.0 <= self.eta1 <= 1.0:
-            raise ValueError(f"eta1 must be in [0, 1], got {self.eta1}")
+            raise InputError("eta1", f"must be in [0, 1], got {self.eta1}")
         if not 0.0 <= self.eta2 <= 1.0:
-            raise ValueError(f"eta2 must be in [0, 1], got {self.eta2}")
-        if not self.n_thermal >= 0.0:
-            raise ValueError(f"n_thermal must be >= 0, got {self.n_thermal}")
+            raise InputError("eta2", f"must be in [0, 1], got {self.eta2}")
+        _require_photons("n_thermal", self.n_thermal)
 
 
 @dataclass(frozen=True)
@@ -50,15 +74,10 @@ class PhotonBudget:
     r_b: float = 0.0
 
     def __post_init__(self):
-        if not self.n_a >= 0.0:
-            raise ValueError(f"n_a must be >= 0, got {self.n_a}")
-        if not self.n_b >= 0.0:
-            raise ValueError(f"n_b must be >= 0, got {self.n_b}")
-        if not (math.isfinite(self.r_a) and math.isfinite(self.r_b)):
-            raise ValueError("squeezing parameters must be finite")
-        # Raises when the squeezing cost exceeds the budget.
-        kernels.displacement_photons(self.n_a, self.r_a)
-        kernels.displacement_photons(self.n_b, self.r_b)
+        _require_photons("n_a", self.n_a)
+        _require_photons("n_b", self.n_b)
+        _require_squeezing("r_a", self.n_a, self.r_a)
+        _require_squeezing("r_b", self.n_b, self.r_b)
 
     @property
     def n_alpha(self) -> float:
@@ -84,15 +103,17 @@ class CovMatrix2:
     v12: float = 0.0
 
     def __post_init__(self):
-        if not self.v11 > 0.0:
-            raise ValueError(f"v11 must be > 0, got {self.v11}")
-        if not self.v22 > 0.0:
-            raise ValueError(f"v22 must be > 0, got {self.v22}")
+        if not 0.0 < self.v11 < math.inf:
+            raise InputError("v11", f"must be finite and > 0, got {self.v11}")
+        if not 0.0 < self.v22 < math.inf:
+            raise InputError("v22", f"must be finite and > 0, got {self.v22}")
+        if not math.isfinite(self.v12):
+            raise InputError("v12", f"must be finite, got {self.v12}")
         det = self.det
         floor = 0.0625
         if det < floor * (1.0 - 1e-9) - 1e-15:
-            raise ValueError(
-                f"unphysical covariance: det {det} below the uncertainty floor {floor}"
+            raise InputError(
+                "det", f"unphysical covariance: {det} is below the uncertainty floor {floor}"
             )
 
     @property
@@ -115,14 +136,19 @@ class SqueezeFractions:
 
     def __post_init__(self):
         if not 0.0 <= self.p_a <= 1.0:
-            raise ValueError(f"p_a must be in [0, 1], got {self.p_a}")
+            raise InputError("p_a", f"must be in [0, 1], got {self.p_a}")
         if not 0.0 <= self.p_b <= 1.0:
-            raise ValueError(f"p_b must be in [0, 1], got {self.p_b}")
-        if self.sign_a not in (-1, 1) or self.sign_b not in (-1, 1):
-            raise ValueError("signs must be +1 or -1")
+            raise InputError("p_b", f"must be in [0, 1], got {self.p_b}")
+        if self.sign_a not in (-1, 1):
+            raise InputError("sign_a", f"must be +1 or -1, got {self.sign_a}")
+        if self.sign_b not in (-1, 1):
+            raise InputError("sign_b", f"must be +1 or -1, got {self.sign_b}")
 
     def budget_for(self, n_a: float, n_b: float) -> PhotonBudget:
         """Photon budget realizing these fractions for the given totals."""
+        # The totals go under a square root before PhotonBudget sees them.
+        _require_photons("n_a", n_a)
+        _require_photons("n_b", n_b)
         r_a = self.sign_a * math.asinh(math.sqrt(self.p_a * n_a))
         r_b = self.sign_b * math.asinh(math.sqrt(self.p_b * n_b))
         return PhotonBudget(n_a, n_b, r_a, r_b)

@@ -18,13 +18,11 @@ from .gaussian_core import ChannelParams, CovMatrix2, PhotonBudget, input_covari
 
 @dataclass(frozen=True)
 class Beamsplitter:
-    """Two-mode coupler. The phase is stored for generality but every
-    transform in this package requires it to be zero."""
+    """Two-mode coupler with real (phase-free) mixing coefficients."""
 
     transmissivity: float
     mode_a: int
     mode_b: int
-    phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.transmissivity <= 1.0:
@@ -123,8 +121,6 @@ def mode_transform(net: BeamsplitterNetwork) -> np.ndarray:
     """
     m = np.eye(net.num_modes)
     for sp in net.splitters:
-        if sp.phase != 0.0:
-            raise ValueError("nonzero beamsplitter phases are not supported")
         t = math.sqrt(sp.transmissivity)
         r = math.sqrt(1.0 - sp.transmissivity)
         row_a = m[sp.mode_a].copy()

@@ -11,6 +11,41 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+BAD_INPUTS = [
+    (["rates", "--na", "inf"], "na"),
+    (["rates", "--nt", "inf"], "nt"),
+    (["rates", "--eta1", "nan"], "eta1"),
+    (["rates", "--ra", "inf"], "ra"),
+    (["rates", "--ra", "5"], "ra"),
+    (["rates", "--ra", "1000"], "ra"),
+    (["rates", "--pa", "nan"], "pa"),
+    (["rates", "--pa", "0.5", "--na", "-1"], "na"),
+    (["region", "--encoding", "nan,0"], "encoding"),
+    (["region", "--encoding", "5,0"], "encoding"),
+    (["asymptotics", "--lemma", "1", "--kappa", "5"], "kappa"),
+    (["asymptotics", "--eta1", "0"], "eta1"),
+    (["asymptotics", "--eta1", "1e-20"], "eta1"),
+    (["asymptotics", "--eta2", "1e-300"], "eta2"),
+    (["asymptotics", "--lemma", "hom-half", "--eta1", "0"], "eta1"),
+    (["asymptotics", "--lemma", "2", "--case", "3", "--eta1", "0"], "eta1"),
+    (["asymptotics", "--eta2", "0"], "eta2"),
+    (["asymptotics", "--eta1", "1"], "eta1"),
+    (["asymptotics", "--nt", "1e300"], "nt"),
+    (["surface", "--grid", "514"], "grid"),
+    (["optimize", "--grid", "1"], "grid"),
+    (["verify", "--seed", "-1"], "seed"),
+    (["verify", "--tolerance", "nan"], "tolerance"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_names_flag(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
 class TestRates:
     def test_default_record(self, capsys):
         code, out, _ = run(["rates"], capsys)

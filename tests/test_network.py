@@ -63,11 +63,6 @@ class TestModeTransform:
             m = mode_transform(random_network(rng))
             assert np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) < 1e-12
 
-    def test_nonzero_phase_rejected(self):
-        net = BeamsplitterNetwork(2, (Beamsplitter(0.5, 0, 1, phase=0.1),))
-        with pytest.raises(ValueError):
-            mode_transform(net)
-
     def test_canonical_splitter_count(self):
         for k in (1, 2, 3, 4):
             etas = [0.5] * (k * (k + 1) // 2)
