@@ -8,8 +8,7 @@ inner variable evaluated a fixed factor deeper than the outer one.
 """
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import _kernels as kernels
 from ._search import golden_section_max
@@ -17,6 +16,7 @@ from .gaussian_core import ChannelParams, InputError, PhotonBudget, receiver_cov
 from .rates import (
     Receiver,
     User,
+    _require_receiver,
     big_g12,
     individual_rate,
     outer_bound,
@@ -127,7 +127,7 @@ def high_power_heterodyne_probe(
         ratios,
         target=1.0,
         tolerance=0.01,
-        metadata={"user": user.value, "channel": _channel_meta(params)},
+        metadata={"user": user.value, "channel": asdict(params)},
     )
 
 
@@ -141,14 +141,9 @@ def homodyne_asymptotic_ratio(n_a: float, params: ChannelParams, n_b_schedule):
     """
     if n_a == 0.0:
         return [(n_b, 0.0, 0.0) for n_b in n_b_schedule]
-    # The homodyne rate divides by eta1 and by eta1 * eta2.
-    if not params.eta1 * params.eta2 >= sys.float_info.min:
-        raise InputError(
-            "eta1" if params.eta1 <= params.eta2 else "eta2",
-            f"the homodyne receiver needs eta1 * eta2 >= {sys.float_info.min}, "
-            f"got eta1={params.eta1}, eta2={params.eta2}",
-        )
-    rub = _reference(outer_bound(params, PhotonBudget(n_a, 0.0), User.ALICE), params)
+    budget = PhotonBudget(n_a, 0.0)
+    _require_receiver(params, budget, Receiver.HOMODYNE)
+    rub = _reference(outer_bound(params, budget, User.ALICE), params)
     r_cap = min(10.0, math.asinh(math.sqrt(n_a)))
     out = []
     for n_b in n_b_schedule:
@@ -185,7 +180,7 @@ def homodyne_half_probe(
         metadata={
             "inner_n_b_factor": INNER_DEPTH,
             "optimal_r_a": best_r_a,
-            "channel": _channel_meta(params),
+            "channel": asdict(params),
         },
     )
 
@@ -211,7 +206,7 @@ def low_power_bob_first_probe(
         tuple(ratios),
         target=1.0,
         tolerance=0.01,
-        metadata={"inner_n_a_factor": 1.0 / INNER_DEPTH, "channel": _channel_meta(params)},
+        metadata={"inner_n_a_factor": 1.0 / INNER_DEPTH, "channel": asdict(params)},
     )
 
 
@@ -240,7 +235,7 @@ def low_power_alice_first_probe(
         metadata={
             "inner_n_a_factor": 1.0 / INNER_DEPTH,
             "branches": branches,
-            "channel": _channel_meta(params),
+            "channel": asdict(params),
         },
     )
 
@@ -336,7 +331,7 @@ def low_power_simultaneous_probes(
         "kappa": config.kappa,
         "b_along_schedule": b_values,
         "branches": branches,
-        "channel": _channel_meta(params),
+        "channel": asdict(params),
     }
     probe1 = LimitProbe(
         "low-power-simultaneous-branch1",
@@ -356,7 +351,7 @@ def low_power_simultaneous_probes(
             "a": config.a,
             "b": config.b,
             "p_a": config.p_a,
-            "channel": _channel_meta(params),
+            "channel": asdict(params),
         },
     )
     return probe1, probe2
@@ -383,7 +378,7 @@ def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL, schedule=None):
         hom = receiver_individual_rates(params, budget, Receiver.HOMODYNE, User.ALICE)
         het_ratios.append(het / r_max)
         hom_ratios.append(hom / r_max)
-    meta = {"channel": _channel_meta(params)}
+    meta = {"channel": asdict(params)}
     return (
         LimitProbe(
             "receiver-gap-heterodyne", schedule, tuple(het_ratios),
@@ -418,6 +413,3 @@ def _reference(rate: float, params: ChannelParams, user: User = User.ALICE) -> f
         f"n_thermal={params.n_thermal})",
     )
 
-
-def _channel_meta(params: ChannelParams) -> dict:
-    return {"eta1": params.eta1, "eta2": params.eta2, "n_thermal": params.n_thermal}

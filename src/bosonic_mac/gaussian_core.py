@@ -149,9 +149,15 @@ class SqueezeFractions:
         # The totals go under a square root before PhotonBudget sees them.
         _require_photons("n_a", n_a)
         _require_photons("n_b", n_b)
-        r_a = self.sign_a * math.asinh(math.sqrt(self.p_a * n_a))
-        r_b = self.sign_b * math.asinh(math.sqrt(self.p_b * n_b))
+        r_a = self.sign_a * fraction_squeezing(self.p_a, n_a)
+        r_b = self.sign_b * fraction_squeezing(self.p_b, n_b)
         return PhotonBudget(n_a, n_b, r_a, r_b)
+
+
+def fraction_squeezing(p: float, n: float) -> float:
+    """Squeezing parameter that spends the share ``p`` of ``n`` photons,
+    i.e. sinh(r)^2 = p * n."""
+    return math.asinh(math.sqrt(p * n))
 
 
 def g_entropy(x: float) -> float:

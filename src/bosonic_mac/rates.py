@@ -8,10 +8,11 @@ boundary.
 """
 
 import enum
+import sys
 from dataclasses import dataclass
 
 from . import _kernels as kernels
-from .gaussian_core import ChannelParams, CovMatrix2, PhotonBudget
+from .gaussian_core import ChannelParams, CovMatrix2, InputError, PhotonBudget
 
 
 class Branch(enum.IntEnum):
@@ -127,10 +128,32 @@ def sum_rate_capacity_coherent(params: ChannelParams, budget: PhotonBudget) -> f
     )
 
 
+def _require_receiver(params: ChannelParams, budget: PhotonBudget, receiver: Receiver) -> None:
+    """Raise InputError unless ``receiver``'s rates are defined here.
+
+    Heterodyne rates need coherent inputs and eta2 > 0.  The homodyne
+    rate divides by eta1 and by eta1 * eta2, so that product must be a
+    normal float.
+    """
+    if receiver is Receiver.HETERODYNE:
+        if not budget.is_coherent:
+            raise InputError(
+                "r_a" if budget.r_a != 0.0 else "r_b",
+                "heterodyne rate is defined for coherent inputs only",
+            )
+        if params.eta2 <= 0.0:
+            raise InputError("eta2", "heterodyne rate requires eta2 > 0")
+    elif not params.eta1 * params.eta2 >= sys.float_info.min:
+        raise InputError(
+            "eta1" if params.eta1 <= params.eta2 else "eta2",
+            f"the homodyne receiver needs eta1 * eta2 >= {sys.float_info.min}, "
+            f"got eta1={params.eta1}, eta2={params.eta2}",
+        )
+
+
 def homodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
     """Single-quadrature detection sum rate for (possibly squeezed) inputs."""
-    if params.eta1 <= 0.0 or params.eta2 <= 0.0:
-        raise ValueError("homodyne rate requires eta1 > 0 and eta2 > 0")
+    _require_receiver(params, budget, Receiver.HOMODYNE)
     return kernels.homodyne_rate_raw(
         params.eta1, params.eta2, params.n_thermal,
         budget.n_alpha, budget.n_beta, budget.r_a, budget.r_b,
@@ -139,10 +162,7 @@ def homodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
 
 def heterodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
     """Dual-quadrature detection sum rate; defined for coherent inputs only."""
-    if budget.r_a != 0.0 or budget.r_b != 0.0:
-        raise ValueError("heterodyne rate is defined for coherent inputs only")
-    if params.eta2 <= 0.0:
-        raise ValueError("heterodyne rate requires eta2 > 0")
+    _require_receiver(params, budget, Receiver.HETERODYNE)
     return kernels.heterodyne_rate_raw(
         params.eta1, params.eta2, params.n_thermal, budget.n_a, budget.n_b
     )
@@ -157,21 +177,30 @@ def receiver_individual_rates(
     For homodyne the other user's squeezing parameter is kept, since their
     squeezed quadrature still contributes measurement noise.
     """
+    _require_receiver(params, budget, receiver)
     if receiver is Receiver.HETERODYNE:
-        if budget.r_a != 0.0 or budget.r_b != 0.0:
-            raise ValueError("heterodyne rate is defined for coherent inputs only")
-        if params.eta2 <= 0.0:
-            raise ValueError("heterodyne rate requires eta2 > 0")
         n_a = budget.n_a if user is User.ALICE else 0.0
         n_b = budget.n_b if user is User.BOB else 0.0
         return kernels.heterodyne_rate_raw(
             params.eta1, params.eta2, params.n_thermal, n_a, n_b
         )
-    if params.eta1 <= 0.0 or params.eta2 <= 0.0:
-        raise ValueError("homodyne rate requires eta1 > 0 and eta2 > 0")
     n_alpha = budget.n_alpha if user is User.ALICE else 0.0
     n_beta = budget.n_beta if user is User.BOB else 0.0
     return kernels.homodyne_rate_raw(
         params.eta1, params.eta2, params.n_thermal,
         n_alpha, n_beta, budget.r_a, budget.r_b,
+    )
+
+
+def receiver_rates(params: ChannelParams, budget: PhotonBudget, receiver: Receiver):
+    """(alice, bob, sum) rates of ``receiver``, or None where it is undefined."""
+    try:
+        _require_receiver(params, budget, receiver)
+    except InputError:
+        return None
+    sum_rate_of = heterodyne_sum_rate if receiver is Receiver.HETERODYNE else homodyne_sum_rate
+    return (
+        receiver_individual_rates(params, budget, receiver, User.ALICE),
+        receiver_individual_rates(params, budget, receiver, User.BOB),
+        sum_rate_of(params, budget),
     )

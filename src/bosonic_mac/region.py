@@ -8,13 +8,12 @@ orientations.
 """
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from . import _kernels as kernels
 from ._search import golden_section_max
-from .gaussian_core import ChannelParams, PhotonBudget
-from .rates import Receiver, User, outer_bound, rate_bundle, receiver_individual_rates
+from .gaussian_core import ChannelParams, PhotonBudget, fraction_squeezing
+from .rates import Receiver, User, outer_bound, rate_bundle, receiver_rates
 
 #: Quadrature orientation layers evaluated by surfaces and optimizers.
 SIGN_LAYERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -87,86 +86,75 @@ def pentagon_at(params: ChannelParams, budget: PhotonBudget) -> Pentagon:
     return Pentagon.from_rates(bundle.r_max_a, bundle.r_max_b, bundle.r_max_ab)
 
 
+def _fractions(points: int) -> tuple:
+    """``points`` evenly spaced squeeze fractions from 0 to 1."""
+    if points < 2:
+        raise ValueError(f"a fraction grid needs at least 2 points, got {points}")
+    return tuple(i / (points - 1) for i in range(points))
+
+
+def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, layers=SIGN_LAYERS):
+    """Walk the (sign_a, sign_b, p_a, p_b) grid in layer-major, row-major
+    order, yielding (p_a, p_b, sign_a, sign_b, kernels.rate_triple(...))
+    for the squeezing that spends those fractions of ``n_a`` and ``n_b``."""
+    for sign_a, sign_b in layers:
+        r_b_values = [sign_b * fraction_squeezing(p_b, n_b) for p_b in p_values]
+        for p_a in p_values:
+            r_a = sign_a * fraction_squeezing(p_a, n_a)
+            for p_b, r_b in zip(p_values, r_b_values):
+                yield p_a, p_b, sign_a, sign_b, kernels.rate_triple(
+                    params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b
+                )
+
+
 @dataclass(frozen=True)
 class SqueezeSurface:
     """Individual rates over a (p_a, p_b) squeeze-fraction grid, one layer
-    per quadrature orientation pair."""
+    per quadrature orientation pair of SIGN_LAYERS.
 
-    p_values: tuple
-    layers: dict
-    params: ChannelParams
-    n_a: float
-    n_b: float
+    ``table`` holds rows (p_a, p_b, sign_a, sign_b, r_max_a, r_max_b) in
+    layer-major, row-major order.
+    """
+
+    grid_n: int
+    table: tuple
 
     def cell(self, sign_a: int, sign_b: int, i: int, j: int):
-        return self.layers[(sign_a, sign_b)][i][j]
+        """(r_max_a, r_max_b) at fraction indices (i, j) of one layer."""
+        if not (0 <= i < self.grid_n and 0 <= j < self.grid_n):
+            raise IndexError(f"cell ({i}, {j}) is outside the {self.grid_n}x{self.grid_n} grid")
+        layer = SIGN_LAYERS.index((sign_a, sign_b))
+        return self.table[(layer * self.grid_n + i) * self.grid_n + j][4:]
 
     def coherent_cell(self):
         """(r_max_a, r_max_b) of the zero-squeezing baseline."""
-        return self.layers[SIGN_LAYERS[0]][0][0]
+        return self.table[0][4:]
 
     def rows(self):
         """Long-format rows (p_a, p_b, sign_a, sign_b, r_max_a, r_max_b) in
         stable layer-major, row-major order."""
-        out = []
-        for signs in SIGN_LAYERS:
-            if signs not in self.layers:
-                continue
-            grid = self.layers[signs]
-            for i, p_a in enumerate(self.p_values):
-                for j, p_b in enumerate(self.p_values):
-                    ra, rb = grid[i][j]
-                    out.append((p_a, p_b, signs[0], signs[1], ra, rb))
-        return out
+        return self.table
 
     def max_alice_rate(self):
-        """Best r_max_a over the grid: (value, (sign_a, sign_b), p_a, p_b)."""
-        best = None
-        for signs, grid in self.layers.items():
-            for i, p_a in enumerate(self.p_values):
-                for j, p_b in enumerate(self.p_values):
-                    ra = grid[i][j][0]
-                    if best is None or ra > best[0]:
-                        best = (ra, signs, p_a, p_b)
-        return best
+        """Best r_max_a over the grid: (value, (sign_a, sign_b), p_a, p_b);
+        the first of equal maxima wins."""
+        p_a, p_b, sign_a, sign_b, ra, _ = max(self.table, key=lambda row: row[4])
+        return ra, (sign_a, sign_b), p_a, p_b
 
 
-def _fraction_rates(params, n_a, n_b, p_a, p_b, sign_a, sign_b):
-    r_a = sign_a * math.asinh(math.sqrt(p_a * n_a))
-    r_b = sign_b * math.asinh(math.sqrt(p_b * n_b))
-    return kernels.rate_triple(
-        params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b
-    )
-
-
-def squeeze_surface(
-    params: ChannelParams,
-    budget: PhotonBudget,
-    grid_n: int = 33,
-    signs=SIGN_LAYERS,
-) -> SqueezeSurface:
+def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 33) -> SqueezeSurface:
     """Evaluate the individual rates on a uniform (p_a, p_b) grid.
 
     Only the photon totals of ``budget`` are used; its squeezing
     parameters are replaced cell by cell.  The p = 0 row and column carry
     the coherent baseline.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    p_values = tuple(i / (grid_n - 1) for i in range(grid_n))
-    layers = {}
-    for sign_a, sign_b in signs:
-        grid = []
-        for p_a in p_values:
-            row = []
-            for p_b in p_values:
-                ra, _, rb, _, _, _ = _fraction_rates(
-                    params, budget.n_a, budget.n_b, p_a, p_b, sign_a, sign_b
-                )
-                row.append((ra, rb))
-            grid.append(tuple(row))
-        layers[(sign_a, sign_b)] = tuple(grid)
-    return SqueezeSurface(p_values, layers, params, budget.n_a, budget.n_b)
+    cells = _sweep(params, budget.n_a, budget.n_b, _fractions(grid_n))
+    table = tuple(
+        (p_a, p_b, sign_a, sign_b, rates[0], rates[2])
+        for p_a, p_b, sign_a, sign_b, rates in cells
+    )
+    return SqueezeSurface(grid_n, table)
 
 
 @dataclass(frozen=True)
@@ -180,13 +168,16 @@ class OptimizeResult:
     baseline: float
 
 
+#: Golden-section refinement of optimize_squeezing stops once its bracket
+#: half-width falls to this.
+OPTIMIZE_TOL = 1e-6
+
+
 def optimize_squeezing(
     params: ChannelParams,
     budget: PhotonBudget,
     objective: Objective,
-    signs=SIGN_LAYERS,
     grid_n: int = 33,
-    tol: float = 1e-6,
 ) -> OptimizeResult:
     """Coarse grid then coordinate-wise golden-section refinement.
 
@@ -194,23 +185,24 @@ def optimize_squeezing(
     falls below it.
     """
     idx = {Objective.MAX_RA: 0, Objective.MAX_RB: 2, Objective.MAX_SUM: 4}[objective]
+    p_values = _fractions(grid_n)
 
     def value(p_a, p_b, sign_a, sign_b):
-        return _fraction_rates(params, budget.n_a, budget.n_b, p_a, p_b, sign_a, sign_b)[idx]
+        return kernels.rate_triple(
+            params.eta1, params.eta2, params.n_thermal, budget.n_a, budget.n_b,
+            sign_a * fraction_squeezing(p_a, budget.n_a),
+            sign_b * fraction_squeezing(p_b, budget.n_b),
+        )[idx]
 
     baseline = value(0.0, 0.0, 1, 1)
     best = (baseline, 0.0, 0.0, 1, 1)
-    for sign_a, sign_b in signs:
-        for i in range(grid_n):
-            for j in range(grid_n):
-                p_a, p_b = i / (grid_n - 1), j / (grid_n - 1)
-                v = value(p_a, p_b, sign_a, sign_b)
-                if v > best[0]:
-                    best = (v, p_a, p_b, sign_a, sign_b)
+    for p_a, p_b, sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
+        if rates[idx] > best[0]:
+            best = (rates[idx], p_a, p_b, sign_a, sign_b)
 
     _, p_a, p_b, sign_a, sign_b = best
     step = 1.0 / (grid_n - 1)
-    while step > tol:
+    while step > OPTIMIZE_TOL:
         p_a, _ = golden_section_max(
             lambda x: value(x, p_b, sign_a, sign_b),
             max(0.0, p_a - step), min(1.0, p_a + step), tol=step * 1e-3,
@@ -283,12 +275,12 @@ class RegionData:
     outer_bound: tuple  # (r_ub_a, r_ub_b)
 
 
-def build_region(
-    params: ChannelParams,
-    budget: PhotonBudget,
-    encodings,
-    include_receiver_curves: bool = True,
-) -> RegionData:
+def _receiver_pentagon(params: ChannelParams, budget: PhotonBudget, receiver: Receiver):
+    rates = receiver_rates(params, budget, receiver)
+    return None if rates is None else Pentagon.from_rates(*rates)
+
+
+def build_region(params: ChannelParams, budget: PhotonBudget, encodings) -> RegionData:
     """Union of per-encoding pentagons, closed convexly.
 
     ``encodings`` is a sequence of (r_a, r_b) squeezing pairs applied to
@@ -310,26 +302,9 @@ def build_region(
         tuple(RatePoint(a, b) for a, b in hull), encodings
     )
 
-    het = hom = None
-    if include_receiver_curves:
-        coherent = PhotonBudget(budget.n_a, budget.n_b)
-        if params.eta2 > 0.0:
-            het = Pentagon.from_rates(
-                receiver_individual_rates(params, coherent, Receiver.HETERODYNE, User.ALICE),
-                receiver_individual_rates(params, coherent, Receiver.HETERODYNE, User.BOB),
-                kernels.heterodyne_rate_raw(
-                    params.eta1, params.eta2, params.n_thermal, budget.n_a, budget.n_b
-                ),
-            )
-        if params.eta1 > 0.0 and params.eta2 > 0.0:
-            hom = Pentagon.from_rates(
-                receiver_individual_rates(params, coherent, Receiver.HOMODYNE, User.ALICE),
-                receiver_individual_rates(params, coherent, Receiver.HOMODYNE, User.BOB),
-                kernels.homodyne_rate_raw(
-                    params.eta1, params.eta2, params.n_thermal,
-                    budget.n_a, budget.n_b, 0.0, 0.0,
-                ),
-            )
+    coherent = PhotonBudget(budget.n_a, budget.n_b)
+    het = _receiver_pentagon(params, coherent, Receiver.HETERODYNE)
+    hom = _receiver_pentagon(params, coherent, Receiver.HOMODYNE)
     box = (
         outer_bound(params, budget, User.ALICE),
         outer_bound(params, budget, User.BOB),
@@ -388,21 +363,14 @@ def global_constraint_scan(
     """
     if total_photons < 0.0:
         raise ValueError("total_photons must be >= 0")
+    p_values = _fractions(fraction_points)
     best = {}
-    for si in range(s_points):
-        s = si / (s_points - 1)
-        n_a = s * total_photons
-        n_b = (1.0 - s) * total_photons
-        for i in range(fraction_points):
-            p_a = i / (fraction_points - 1)
-            r_a = math.asinh(math.sqrt(p_a * n_a))
-            for j in range(fraction_points):
-                p_b = j / (fraction_points - 1)
-                r_b = math.asinh(math.sqrt(p_b * n_b))
-                ra, _, rb, _, rab, _ = kernels.rate_triple(
-                    params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b
-                )
-                for name, v in (("alice", ra), ("bob", rb), ("sum", rab)):
-                    if name not in best or v > best[name].value:
-                        best[name] = ScanCell(s, p_a, p_b, v)
+    for s in _fractions(s_points):
+        cells = _sweep(
+            params, s * total_photons, (1.0 - s) * total_photons, p_values, layers=((1, 1),)
+        )
+        for p_a, p_b, _, _, (ra, _, rb, _, rab, _) in cells:
+            for name, v in (("alice", ra), ("bob", rb), ("sum", rab)):
+                if name not in best or v > best[name].value:
+                    best[name] = ScanCell(s, p_a, p_b, v)
     return ScanReport(total_photons, best)

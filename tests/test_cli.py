@@ -35,6 +35,7 @@ BAD_INPUTS = [
     (["optimize", "--grid", "1"], "grid"),
     (["verify", "--seed", "-1"], "seed"),
     (["verify", "--tolerance", "nan"], "tolerance"),
+    (["verify", "--draws", "10001"], "draws"),
 ]
 
 
@@ -44,6 +45,25 @@ def test_bad_input_names_flag(argv, flag, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
+
+
+TINY_ETA = [
+    ["rates", "--eta1", "1e-200", "--eta2", "1e-200"],
+    ["region", "--eta1", "1e-200", "--eta2", "1e-200"],
+    ["rates", "--eta1", "1e-310"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_ETA, ids=[" ".join(a) for a in TINY_ETA])
+def test_tiny_eta_has_no_homodyne_rates(argv, capsys):
+    # eta1 * eta2 below the smallest normal float leaves the homodyne
+    # receiver undefined; every other rate is still printed.
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    receivers = doc["receivers"] if argv[0] == "rates" else doc
+    assert receivers["homodyne"] is None
+    assert receivers["heterodyne"] is not None
 
 
 class TestRates:

@@ -17,7 +17,7 @@ from bosonic_mac import (
     pentagon_at,
     squeeze_surface,
 )
-from bosonic_mac.region import convex_hull
+from bosonic_mac.region import SIGN_LAYERS, convex_hull
 
 
 class TestPentagon:
@@ -87,9 +87,31 @@ class TestSqueezeSurface:
             ra, _ = surf.cell(1, 1, 2, j)  # p_a = 1 row
             assert ra <= 1e-12
 
+    def test_cell_matches_rows_in_every_layer(self, surface_channel, surface_budget):
+        surf = squeeze_surface(surface_channel, surface_budget, grid_n=3)
+        rows = iter(surf.rows())
+        for sign_a, sign_b in SIGN_LAYERS:
+            for i in range(3):
+                for j in range(3):
+                    row = next(rows)
+                    assert row[2:4] == (sign_a, sign_b)
+                    assert row[:2] == (i / 2, j / 2)
+                    assert surf.cell(sign_a, sign_b, i, j) == row[4:]
+        # The table is flat, so an index past a row must not reach the next layer.
+        with pytest.raises(IndexError):
+            surf.cell(1, 1, 3, 0)
+        with pytest.raises(IndexError):
+            surf.cell(1, 1, 0, -1)
+
     def test_grid_validation(self, surface_channel, surface_budget):
         with pytest.raises(ValueError):
             squeeze_surface(surface_channel, surface_budget, grid_n=1)
+        with pytest.raises(ValueError):
+            optimize_squeezing(surface_channel, surface_budget, Objective.MAX_RA, grid_n=1)
+        with pytest.raises(ValueError):
+            global_constraint_scan(surface_channel, 2.0, s_points=1, fraction_points=3)
+        with pytest.raises(ValueError):
+            global_constraint_scan(surface_channel, 2.0, s_points=3, fraction_points=1)
 
     def test_squeezing_advantage_exists(self, surface_channel, surface_budget):
         surf = squeeze_surface(surface_channel, surface_budget, grid_n=33)
@@ -198,10 +220,7 @@ class TestHullAndRegion:
                                    rng.uniform(0, 4))
             n_a, n_b = rng.uniform(0.5, 20, size=2)
             r_b = min(math.asinh(math.sqrt(n_b)), rng.uniform(0, 2))
-            data = build_region(
-                params, PhotonBudget(n_a, n_b), [(0.0, 0.0), (0.0, r_b)],
-                include_receiver_curves=False,
-            )
+            data = build_region(params, PhotonBudget(n_a, n_b), [(0.0, 0.0), (0.0, r_b)])
             ub_a, ub_b = data.outer_bound
             for v in data.region.hull:
                 assert v.r_a <= ub_a + 1e-9
