@@ -1,6 +1,12 @@
 """Command-line front end.
 
 Subcommands: rates, surface, region, asymptotics, optimize, verify.
+``COMMANDS`` lists the flags each subcommand reads; all of them also take
+--out and --config, and any other flag is rejected.  A value comes from
+its flag, else from the config file, else from the built-in default in
+``OPTIONS``, and flag and config values go through the same conversion
+and choice check.  A config file may hold any key of ``OPTIONS``; a
+subcommand ignores the keys it does not read, so one file serves all.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
 info, debug).  Exit codes: 0 success, 2 bad input (the message names
@@ -15,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from typing import NamedTuple
 
 from . import asymptotics, region, verification
 from .gaussian_core import ChannelParams, InputError, PhotonBudget, SqueezeFractions
@@ -31,9 +38,7 @@ log = logging.getLogger("bosonic_mac")
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """An I/O failure (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +46,7 @@ class CliError(Exception):
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise CliError(3, f"non-finite number in output: {x}")
+        raise CliError(f"non-finite number in output: {x}")
     return format(float(x), ".17g")
 
 
@@ -108,28 +113,63 @@ def write_output(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(3, f"{out_path or 'stdout'}: {exc}") from exc
+        raise CliError(f"{out_path or 'stdout'}: {exc}") from exc
     log.info("wrote %s", out_path)
 
 
 # ---------------------------------------------------------------------------
-# Configuration: built-in defaults < config file < flags.
+# Options: built-in default < config file < flag.
 
-BUILTIN = {
-    "eta1": "0.5",
-    "eta2": "0.9",
-    "nt": "1.0",
-    "na": "1.0",
-    "nb": "1.0",
-    "grid": "33",
-    "seed": "20240901",
+class Option(NamedTuple):
+    """One configuration key.  ``parse`` turns a flag or config string into
+    its value (None hands the raw value to the command); ``choices`` lists
+    the allowed values; a ``default`` of None leaves the key unset."""
+
+    parse: object = float
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+
+
+OPTIONS = {
+    "eta1": Option(default=0.5),
+    "eta2": Option(default=0.9),
+    "nt": Option(default=1.0),
+    "na": Option(default=1.0),
+    "nb": Option(default=1.0),
+    "ra": Option(),
+    "rb": Option(),
+    "pa": Option(),
+    "pb": Option(),
+    "kappa": Option(),
+    "tolerance": Option(),
+    "grid": Option(int, 33),
+    "seed": Option(int, 20240901),
+    "draws": Option(int, 1000),
+    # Unset: each command writes its own format (CSV for surface, else JSON).
+    "format": Option(str, choices=("csv", "json")),
+    "out": Option(str),
+    # --encoding RA,RB (repeated) on the command line, RA,RB;RA,RB in a file.
+    "encodings": Option(None, help="squeezing pair; repeat for several encodings (default 0,0)"),
+    "lemma": Option(str, "all", ("1", "2", "hom-half", "receiver-gap", "all")),
+    "case": Option(str, choices=("1", "2", "3"), help="restrict lemma 2 to one case"),
+    "objective": Option(str, "max-ra", tuple(o.value for o in region.Objective)),
 }
 
-_FLOAT_KEYS = ("eta1", "eta2", "nt", "na", "nb", "ra", "rb", "pa", "pb",
-               "kappa", "tolerance")
-_INT_KEYS = ("grid", "seed", "draws", "samples")
-_STR_KEYS = ("format", "out", "encodings", "lemma", "case", "objective")
-KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
+_KIND = {float: "a number", int: "an integer"}
+
+
+def _convert(key: str, raw):
+    option = OPTIONS[key]
+    if option.parse is None:
+        return raw
+    try:
+        value = option.parse(raw)
+    except ValueError:
+        raise InputError(key, f"not {_KIND[option.parse]}: {raw!r}") from None
+    if option.choices and value not in option.choices:
+        raise InputError(key, f"must be one of {', '.join(option.choices)}, got {raw!r}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -137,89 +177,58 @@ def load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CliError(3, f"{path}: {exc}") from exc
+        raise CliError(f"{path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(2, f"{path}:{lineno}: expected 'key = value'")
+            raise InputError("config", f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise CliError(2, f"{path}:{lineno}: unknown key '{key}'")
+        if key not in OPTIONS:
+            raise InputError("config", f"{path}:{lineno}: unknown key '{key}'")
         values[key] = value.strip()
     return values
 
 
-class Settings:
-    """Merged view over flags, config file and built-ins."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = load_config(args.config) if args.config else {}
-
-    def _raw(self, key):
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            return self._config[key]
-        return BUILTIN.get(key)
-
-    def float_of(self, key, default=None):
-        raw = self._raw(key)
+def options_for(args: argparse.Namespace) -> dict:
+    """Value of each key the subcommand reads: its flag, else the config
+    file, else the built-in default."""
+    config = load_config(args.config) if args.config else {}
+    opts = {}
+    for key in (*COMMANDS[args.command][2], "out"):
+        raw = getattr(args, key)
         if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise CliError(2, f"{key}: not a number: {raw!r}") from None
-
-    def int_of(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError(2, f"{key}: not an integer: {raw!r}") from None
-
-    def str_of(self, key, default=None):
-        raw = self._raw(key)
-        return default if raw is None else str(raw)
-
-    def provided(self, key) -> bool:
-        return self._args.get(key) is not None or key in self._config
+            raw = config.get(key)
+        opts[key] = OPTIONS[key].default if raw is None else _convert(key, raw)
+    return opts
 
 
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
-        raise CliError(2, f"{field}: {message}")
+        raise InputError(field, message)
 
 
-def channel_from(settings: Settings) -> ChannelParams:
-    return ChannelParams(
-        settings.float_of("eta1"), settings.float_of("eta2"), settings.float_of("nt")
-    )
+def channel_from(opts: dict) -> ChannelParams:
+    return ChannelParams(opts["eta1"], opts["eta2"], opts["nt"])
 
 
-def budget_from(settings: Settings) -> PhotonBudget:
-    na = settings.float_of("na")
-    nb = settings.float_of("nb")
-    has_r = settings.provided("ra") or settings.provided("rb")
-    has_p = settings.provided("pa") or settings.provided("pb")
-    if has_r and has_p:
-        raise CliError(2, "pa: cannot be combined with ra/rb; give one convention")
-    if has_p:
-        fractions = SqueezeFractions(settings.float_of("pa", 0.0), settings.float_of("pb", 0.0))
-        return fractions.budget_for(na, nb)
-    return PhotonBudget(na, nb, settings.float_of("ra", 0.0), settings.float_of("rb", 0.0))
+def budget_from(opts: dict) -> PhotonBudget:
+    """Photon totals plus squeezing as ra/rb or as fractions pa/pb; the
+    squeezing keys are absent for commands that read photon totals only."""
+    given = {key: opts[key] for key in ("ra", "rb", "pa", "pb") if opts.get(key) is not None}
+    if not given.keys() & {"pa", "pb"}:
+        return PhotonBudget(opts["na"], opts["nb"], given.get("ra", 0.0), given.get("rb", 0.0))
+    if given.keys() & {"ra", "rb"}:
+        raise InputError("pa", "cannot be combined with ra/rb; give one convention")
+    fractions = SqueezeFractions(given.get("pa", 0.0), given.get("pb", 0.0))
+    return fractions.budget_for(opts["na"], opts["nb"])
 
 
-def grid_from(settings: Settings) -> int:
-    grid = settings.int_of("grid")
+def grid_from(opts: dict) -> int:
+    grid = opts["grid"]
     _require(2 <= grid <= MAX_GRID, "grid", f"must be in [2, {MAX_GRID}], got {grid}")
     return grid
 
@@ -244,16 +253,17 @@ def _pentagon_dict(pent: region.Pentagon) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def cmd_rates(settings: Settings) -> int:
-    params = channel_from(settings)
-    budget = budget_from(settings)
+RECEIVER_FIELDS = ("alice", "bob", "sum")
+
+
+def cmd_rates(opts: dict) -> int:
+    params = channel_from(opts)
+    budget = budget_from(opts)
     bundle = rate_bundle(params, budget)
     receivers = {}
     for receiver in (Receiver.HETERODYNE, Receiver.HOMODYNE):
         rates = receiver_rates(params, budget, receiver)
-        receivers[receiver.value] = (
-            None if rates is None else dict(zip(("alice", "bob", "sum"), rates))
-        )
+        receivers[receiver.value] = None if rates is None else dict(zip(RECEIVER_FIELDS, rates))
     record = {
         "channel": asdict(params),
         "budget": _budget_dict(budget),
@@ -269,12 +279,17 @@ def cmd_rates(settings: Settings) -> int:
         "coherent_sum_capacity": sum_rate_capacity_coherent(params, budget),
         "receivers": receivers,
     }
-    if settings.str_of("format", "json") == "csv":
+    if opts["format"] == "csv":
+        # An undefined receiver keeps its columns, empty, so every input
+        # gives the same header.
+        record["receivers"] = {
+            name: block or dict.fromkeys(RECEIVER_FIELDS, "") for name, block in receivers.items()
+        }
         flat = _flatten(record)
         text = dumps_csv(list(flat.keys()), [list(flat.values())])
     else:
         text = dumps_json(record)
-    write_output(text, settings.str_of("out"))
+    write_output(text, opts["out"])
     return 0
 
 
@@ -284,8 +299,6 @@ def _flatten(record: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
-        elif value is None:
-            flat[name] = ""
         else:
             flat[name] = value
     return flat
@@ -302,14 +315,15 @@ MAX_GRID = 513
 MAX_DRAWS = 10_000
 
 
-def cmd_surface(settings: Settings) -> int:
-    params = channel_from(settings)
-    budget = budget_from(settings)
-    grid = grid_from(settings)
+
+def cmd_surface(opts: dict) -> int:
+    params = channel_from(opts)
+    budget = budget_from(opts)
+    grid = grid_from(opts)
     surface = region.squeeze_surface(params, budget, grid_n=grid)
     rows = surface.rows()
     log.info("surface grid %dx%d over %d sign layers", grid, grid, len(region.SIGN_LAYERS))
-    if settings.str_of("format", "csv") == "json":
+    if opts["format"] == "json":
         text = dumps_json({
             "channel": asdict(params),
             "budget": {"n_a": budget.n_a, "n_b": budget.n_b},
@@ -319,38 +333,36 @@ def cmd_surface(settings: Settings) -> int:
         })
     else:
         text = dumps_csv(SURFACE_COLUMNS, rows)
-    write_output(text, settings.str_of("out"))
+    write_output(text, opts["out"])
     return 0
 
 
-def _parse_encodings(settings: Settings):
-    raw_list = settings._args.get("encoding")
-    if raw_list is None:
-        raw = settings.str_of("encodings")
-        if raw is None:
-            return [(0.0, 0.0)]
-        raw_list = [s for s in raw.split(";")]
+def _parse_encodings(raw):
+    """(r_a, r_b) pairs from the repeated --encoding flag (a list) or the
+    config value (a string of pairs separated by ';')."""
+    if raw is None:
+        return [(0.0, 0.0)]
     pairs = []
-    for item in raw_list:
+    for item in raw.split(";") if isinstance(raw, str) else raw:
         item = item.strip()
         if not item:
             continue
         parts = item.split(",")
         if len(parts) != 2:
-            raise CliError(2, f"encoding: expected 'RA,RB', got {item!r}")
+            raise InputError("encoding", f"expected 'RA,RB', got {item!r}")
         try:
             pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            raise CliError(2, f"encoding: not numeric: {item!r}") from None
+            raise InputError("encoding", f"not numeric: {item!r}") from None
     if not pairs:
-        raise CliError(2, "encoding: list must not be empty")
+        raise InputError("encoding", "list must not be empty")
     return pairs
 
 
-def cmd_region(settings: Settings) -> int:
-    params = channel_from(settings)
-    budget = budget_from(settings)
-    encodings = _parse_encodings(settings)
+def cmd_region(opts: dict) -> int:
+    params = channel_from(opts)
+    budget = budget_from(opts)
+    encodings = _parse_encodings(opts["encodings"])
     try:
         data = region.build_region(params, budget, encodings)
     except InputError as exc:
@@ -382,14 +394,14 @@ def cmd_region(settings: Settings) -> int:
             ],
         },
     }
-    if settings.str_of("format", "json") == "csv":
+    if opts["format"] == "csv":
         rows = []
         for name, vertices in _region_curves(doc):
             rows.extend((name, i, v[0], v[1]) for i, v in enumerate(vertices))
         text = dumps_csv(("dataset", "vertex", "r_a", "r_b"), rows)
     else:
         text = dumps_json(doc)
-    write_output(text, settings.str_of("out"))
+    write_output(text, opts["out"])
     return 0
 
 
@@ -402,13 +414,11 @@ def _region_curves(doc: dict):
             yield name, doc[name]["vertices"]
 
 
-def cmd_asymptotics(settings: Settings) -> int:
-    params = channel_from(settings)
-    which = settings.str_of("lemma", "all")
-    cases = settings.str_of("case")
-    config = asymptotics.CaseThreeConfig(
-        kappa=settings.float_of("kappa", 1.0), p_a=settings.float_of("pa", 0.5)
-    )
+def cmd_asymptotics(opts: dict) -> int:
+    params = channel_from(opts)
+    which = opts["lemma"]
+    given = {"kappa": opts["kappa"], "p_a": opts["pa"]}
+    config = asymptotics.CaseThreeConfig(**{k: v for k, v in given.items() if v is not None})
 
     probes = []
     if which in ("1", "all"):
@@ -416,11 +426,7 @@ def cmd_asymptotics(settings: Settings) -> int:
     if which in ("hom-half", "all"):
         probes.append(asymptotics.homodyne_half_probe(params))
     if which in ("2", "all"):
-        selected = ("1", "2", "3") if cases is None else (cases,)
-        _require(
-            all(c in ("1", "2", "3") for c in selected),
-            "case", f"must be 1, 2 or 3, got {cases}",
-        )
+        selected = ("1", "2", "3") if opts["case"] is None else (opts["case"],)
         if "1" in selected:
             probes.append(asymptotics.low_power_bob_first_probe(params))
         if "2" in selected:
@@ -431,9 +437,7 @@ def cmd_asymptotics(settings: Settings) -> int:
         if params.n_thermal > 0.0:
             probes.extend(asymptotics.receiver_gap_probes(params))
         elif which == "receiver-gap":
-            raise CliError(2, "nt: receiver-gap probes require nt > 0")
-    if not probes:
-        raise CliError(2, f"lemma: unknown selection {which!r}")
+            raise InputError("nt", "receiver-gap probes require nt > 0")
 
     all_converged = all(p.converged for p in probes)
     report = {
@@ -441,7 +445,7 @@ def cmd_asymptotics(settings: Settings) -> int:
         "probes": [p.to_dict() for p in probes],
         "all_converged": all_converged,
     }
-    write_output(dumps_json(report), settings.str_of("out"))
+    write_output(dumps_json(report), opts["out"])
     if not all_converged:
         diverged = [p.name for p in probes if not p.converged]
         log.warning("diverged probes: %s", ", ".join(diverged))
@@ -449,15 +453,11 @@ def cmd_asymptotics(settings: Settings) -> int:
     return 0
 
 
-def cmd_optimize(settings: Settings) -> int:
-    params = channel_from(settings)
-    budget = budget_from(settings)
-    raw = settings.str_of("objective", "max-ra")
-    try:
-        objective = region.Objective(raw)
-    except ValueError:
-        raise CliError(2, f"objective: must be one of max-ra, max-rb, max-sum, got {raw!r}") from None
-    grid = grid_from(settings)
+def cmd_optimize(opts: dict) -> int:
+    params = channel_from(opts)
+    budget = budget_from(opts)
+    objective = region.Objective(opts["objective"])
+    grid = grid_from(opts)
     result = region.optimize_squeezing(params, budget, objective, grid_n=grid)
     report = {
         "channel": asdict(params),
@@ -471,16 +471,14 @@ def cmd_optimize(settings: Settings) -> int:
         "coherent_baseline": result.baseline,
         "advantage": result.value - result.baseline,
     }
-    write_output(dumps_json(report), settings.str_of("out"))
+    write_output(dumps_json(report), opts["out"])
     return 0
 
 
-def cmd_verify(settings: Settings) -> int:
-    seed = settings.int_of("seed")
+def cmd_verify(opts: dict) -> int:
+    seed, draws, tolerance = opts["seed"], opts["draws"], opts["tolerance"]
     _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
-    draws = settings.int_of("draws", 1000)
     _require(1 <= draws <= MAX_DRAWS, "draws", f"must be in [1, {MAX_DRAWS}], got {draws}")
-    tolerance = settings.float_of("tolerance") if settings.provided("tolerance") else None
     _require(tolerance is None or math.isfinite(tolerance), "tolerance",
              f"must be finite, got {tolerance}")
     results = verification.run_all(seed, draws, tolerance)
@@ -494,7 +492,7 @@ def cmd_verify(settings: Settings) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    write_output(dumps_json(report), settings.str_of("out"))
+    write_output(dumps_json(report), opts["out"])
     if not report["all_passed"]:
         failing = ", ".join(r.name for r in results if not r.passed)
         print(f"failed checks: {failing}", file=sys.stderr)
@@ -505,37 +503,40 @@ def cmd_verify(settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 # Parser and entry point.
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for key in _FLOAT_KEYS:
-        common.add_argument(f"--{key}", type=str, default=None)
-    for key in _INT_KEYS:
-        common.add_argument(f"--{key}", type=str, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--config", type=str, default=None)
+#: Subcommand -> (function, help, the keys of OPTIONS it reads besides out).
+COMMANDS = {
+    "rates": (cmd_rates, "one record of all closed-form rates",
+              ("eta1", "eta2", "nt", "na", "nb", "ra", "rb", "pa", "pb", "format")),
+    "surface": (cmd_surface, "individual rates over a squeeze-fraction grid",
+                ("eta1", "eta2", "nt", "na", "nb", "grid", "format")),
+    "region": (cmd_region, "rate region and receiver curves",
+               ("eta1", "eta2", "nt", "na", "nb", "encodings", "format")),
+    "asymptotics": (cmd_asymptotics, "limit verification probes",
+                    ("eta1", "eta2", "nt", "lemma", "case", "kappa", "pa")),
+    "optimize": (cmd_optimize, "search squeeze fractions",
+                 ("eta1", "eta2", "nt", "na", "nb", "grid", "objective")),
+    "verify": (cmd_verify, "oracle and property cross-checks", ("seed", "draws", "tolerance")),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonic-mac",
         description="Gaussian-input rates and capacity regions for a "
                     "two-transmitter lossy bosonic channel with thermal noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("rates", parents=[common], help="one record of all closed-form rates")
-    sub.add_parser("surface", parents=[common], help="individual rates over a squeeze-fraction grid")
-    p_region = sub.add_parser("region", parents=[common], help="rate region and receiver curves")
-    p_region.add_argument(
-        "--encoding", action="append", default=None, metavar="RA,RB",
-        help="squeezing pair; repeat for several encodings (default 0,0)",
-    )
-    p_asym = sub.add_parser("asymptotics", parents=[common], help="limit verification probes")
-    p_asym.add_argument("--lemma", type=str, default=None,
-                        help="1, 2, hom-half, receiver-gap or all")
-    p_asym.add_argument("--case", type=str, default=None, help="restrict lemma 2 to one case")
-    p_opt = sub.add_parser("optimize", parents=[common], help="search squeeze fractions")
-    p_opt.add_argument("--objective", type=str, default=None,
-                       help="max-ra, max-rb or max-sum")
-    sub.add_parser("verify", parents=[common], help="oracle and property cross-checks")
+    for name, (_, help_text, keys) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in (*keys, "out"):
+            option = OPTIONS[key]
+            if key == "encodings":
+                command.add_argument("--encoding", dest=key, action="append",
+                                     metavar="RA,RB", help=option.help)
+            else:
+                metavar = "{" + ",".join(option.choices) + "}" if option.choices else None
+                command.add_argument(f"--{key}", metavar=metavar, help=option.help)
+        command.add_argument("--config")
     return parser
 
 
@@ -552,16 +553,6 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
-COMMANDS = {
-    "rates": cmd_rates,
-    "surface": cmd_surface,
-    "region": cmd_region,
-    "asymptotics": cmd_asymptotics,
-    "optimize": cmd_optimize,
-    "verify": cmd_verify,
-}
-
-
 #: CLI flag of each library field whose name differs from it.
 FLAGS = {
     "n_thermal": "nt",
@@ -576,17 +567,15 @@ FLAGS = {
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = Settings(args)
-        return COMMANDS[args.command](settings)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return COMMANDS[args.command][0](options_for(args))
     except InputError as exc:
         print(f"error: {FLAGS.get(exc.field, exc.field)}: {exc.message}", file=sys.stderr)
         return 2
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -14,8 +14,7 @@ from .rates import (
     User,
     heterodyne_sum_rate,
     outer_bound,
-    receiver_individual_rates,
-    sum_rate,
+    receiver_rates,
 )
 from .region import Pentagon, pentagon_at
 
@@ -156,17 +155,12 @@ def check_containment(seed: int, draws: int, tolerance: float = 1e-9) -> CheckRe
         box_a = outer_bound(params, budget, User.ALICE)
         box_b = outer_bound(params, budget, User.BOB)
         excess = max(pent.r_a_max - box_a, pent.r_b_max - box_b, 0.0)
-        s, _ = sum_rate(params, budget)
-        het = Pentagon.from_rates(
-            receiver_individual_rates(params, budget, Receiver.HETERODYNE, User.ALICE),
-            receiver_individual_rates(params, budget, Receiver.HETERODYNE, User.BOB),
-            heterodyne_sum_rate(params, budget),
-        )
+        het = Pentagon.from_rates(*receiver_rates(params, budget, Receiver.HETERODYNE))
         excess = max(
             excess,
             het.r_a_max - pent.r_a_max,
             het.r_b_max - pent.r_b_max,
-            het.sum_max - s,
+            het.sum_max - pent.sum_max,
         )
         worst = max(worst, excess)
         ok = ok and excess <= tolerance

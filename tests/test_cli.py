@@ -1,12 +1,20 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from bosonic_mac import cli
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -45,6 +53,81 @@ def test_bad_input_names_flag(argv, flag, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
+
+
+# Flags a subcommand does not read, and a bad value in a config file.
+UNREAD_FLAGS = [
+    (["verify", "--eta1", "nan"], None, "eta1"),
+    (["verify", "--samples", "-7"], None, "samples"),
+    (["asymptotics", "--na", "-1"], None, "na"),
+    (["rates", "--grid", "0"], None, "grid"),
+    (["rates", "--seed", "x"], None, "seed"),
+    (["surface", "--kappa", "5"], None, "kappa"),
+    (["optimize", "--format", "csv"], None, "format"),
+    (["surface", "--ra", "0.5"], None, "ra"),
+    (["rates"], "format = xml\n", "format"),
+    (["surface"], "format = xml\n", "format"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,flag", UNREAD_FLAGS,
+    ids=[" ".join(a) + (f" [{c.strip()}]" if c else "") for a, c, _ in UNREAD_FLAGS],
+)
+def test_unread_flag_or_bad_config_value_is_rejected(argv, config, flag, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert (f"error: {flag}: " if config else f"unrecognized arguments: --{flag}") in err
+
+
+#: Every config key but the squeezing ones, which come in two conventions
+#: that a budget cannot combine.
+EVERY_KEY = {
+    "eta1": "0.3", "eta2": "0.8", "nt": "0.5", "na": "2", "nb": "3",
+    "kappa": "0.5", "tolerance": "5", "grid": "3", "seed": "7", "draws": "20",
+    "format": "json", "encodings": "0,0;0,0.5", "lemma": "2", "case": "3",
+    "objective": "max-sum",
+}
+SQUEEZING = [{"ra": "0.5", "rb": "0.25"}, {"pa": "0.5", "pb": "0.25"}]
+
+
+def test_every_config_key_is_known():
+    assert set(EVERY_KEY).union({"out"}, *SQUEEZING) == set(cli.OPTIONS)
+    assert len(cli.OPTIONS) == 20
+
+
+@pytest.mark.parametrize("squeezing", SQUEEZING, ids=["ra-rb", "pa-pb"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_config_with_every_key_serves_every_command(command, squeezing, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    values = {**EVERY_KEY, **squeezing, "out": str(out_path)}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text()
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_lists_the_flags_of_every_subcommand():
+    rows = re.findall(r"^\| `([a-z]+)` \| (.+) \|$", README.read_text(), re.MULTILINE)
+    documented = {name: set(re.findall(r"--[a-z0-9]+", flags)) | {"--out", "--config"}
+                  for name, flags in rows}
+    declared = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in _subparsers(cli.build_parser()).items()
+    }
+    assert documented == declared
+    assert sum(map(len, declared.values())) == 53
 
 
 TINY_ETA = [
@@ -116,6 +199,23 @@ class TestRates:
         header, row = out.strip().split("\n")
         assert header.startswith("channel.eta1,")
         assert len(header.split(",")) == len(row.split(","))
+
+    def test_csv_header_is_fixed(self, capsys):
+        # A receiver without rates keeps its columns, empty.
+        headers = set()
+        for args in ([], ["--ra", "0.5", "--na", "2"], ["--eta1", "0"], ["--eta1", "1e-310"]):
+            code, out, _ = run(["rates", "--format", "csv", *args], capsys)
+            assert code == 0
+            header, row = out.strip("\n").split("\n")
+            assert len(row.split(",")) == len(header.split(","))
+            headers.add(header)
+        (header,) = headers
+        columns = header.split(",")
+        assert len(columns) == 24
+        assert columns[-6:] == [
+            f"receivers.{rx}.{field}" for rx in ("heterodyne", "homodyne")
+            for field in ("alice", "bob", "sum")
+        ]
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(["rates", "--eta1", "0.123456789012345"], capsys)
