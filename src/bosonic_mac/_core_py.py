@@ -8,7 +8,11 @@ Conventions used throughout:
 * vacuum quadrature variance is 1/4,
 * all rates are in bits,
 * squeezing parameters are signed, positive r inflates the first
-  quadrature variance by exp(2r).
+  quadrature variance by exp(2r),
+* a receiver mode is given by its two quadrature variances (V1, V2)
+  alone: every input is squeezed along the quadrature axes and every
+  beamsplitter is phase-free, so no state this package builds has a
+  cross covariance, and the kernels take none.
 """
 
 import math
@@ -71,43 +75,39 @@ def big_g11_raw(n, v1, v2):
     return g_entropy(v1 + v2 + n - 0.5)
 
 
-def _g12_arg(n, v1, v2, v12):
+def _g12_arg(n, v1, v2):
     # Difference of squares factored exactly; avoids cancellation when n
     # dwarfs the variances.  Both factors are positive because
-    # (v1+v2)/2 exceeds sqrt(((v1-v2)/2)^2 + v12^2) whenever det > 0.
+    # (v1+v2)/2 exceeds |v1-v2|/2 for positive variances.
     half_sum = 0.5 * (v1 + v2)
-    s = math.hypot(0.5 * (v1 - v2), v12)
+    s = abs(0.5 * (v1 - v2))
     inner = (half_sum + n - s) * (half_sum + s)
     return 2.0 * math.sqrt(inner) - 0.5
 
 
-def big_g12_raw(n, v1, v2, v12):
-    return g_entropy(_g12_arg(n, v1, v2, v12))
+def big_g12_raw(n, v1, v2):
+    return g_entropy(_g12_arg(n, v1, v2))
 
 
-def big_g2_raw(v1, v2, v12):
-    det = v1 * v2 - v12 * v12
+def big_g2_raw(v1, v2):
+    det = v1 * v2
     return g_entropy(2.0 * math.sqrt(det) - 0.5)
 
 
-def _piecewise(n, v1, v2, v12, g2):
-    # Ties go to the full-signal branch; the two branches agree there.
-    if n >= math.hypot(v1 - v2, 2.0 * v12):
+def _piecewise(n, v1, v2, g2):
+    """Holevo-limit rate for ``n`` received signal photons, with its branch.
+
+    Branch 1 means the received signal covers the variance asymmetry
+    |V1 - V2|, branch 2 the opposite.  Ties go to branch 1; the two
+    branches agree there.
+    """
+    if n >= abs(v1 - v2):
         rate = big_g11_raw(n, v1, v2) - g2
         branch = 1
     else:
-        rate = big_g12_raw(n, v1, v2, v12) - g2
+        rate = big_g12_raw(n, v1, v2) - g2
         branch = 2
     return (rate if rate > 0.0 else 0.0), branch
-
-
-def piecewise_rate(n, v1, v2, v12):
-    """Holevo-limit rate for ``n`` received signal photons on a Gaussian mode.
-
-    Returns ``(bits, branch)`` where branch 1 means the received signal
-    dominated the variance asymmetry and branch 2 the opposite.
-    """
-    return _piecewise(n, v1, v2, v12, big_g2_raw(v1, v2, v12))
 
 
 def rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
@@ -117,10 +117,10 @@ def rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
     """
     v1, v2 = receiver_variances(eta1, eta2, n_thermal, r_a, r_b)
     nca, ncb = received_photon_pair(eta1, eta2, n_a, n_b, r_a, r_b)
-    g2 = big_g2_raw(v1, v2, 0.0)
-    ra, br_a = _piecewise(nca, v1, v2, 0.0, g2)
-    rb, br_b = _piecewise(ncb, v1, v2, 0.0, g2)
-    rab, br_ab = _piecewise(nca + ncb, v1, v2, 0.0, g2)
+    g2 = big_g2_raw(v1, v2)
+    ra, br_a = _piecewise(nca, v1, v2, g2)
+    rb, br_b = _piecewise(ncb, v1, v2, g2)
+    rab, br_ab = _piecewise(nca + ncb, v1, v2, g2)
     return ra, br_a, rb, br_b, rab, br_ab
 
 

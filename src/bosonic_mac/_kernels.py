@@ -15,7 +15,6 @@ from ._core_py import (
     g_entropy,
     heterodyne_rate_raw,
     homodyne_rate_raw,
-    piecewise_rate,
     point_to_point_raw,
     rate_triple,
     received_photon_pair,

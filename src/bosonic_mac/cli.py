@@ -10,7 +10,8 @@ subcommand ignores the keys it does not read, so one file serves all.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
 info, debug).  Exit codes: 0 success, 2 bad input (the message names
-the flag), 3 I/O failure, 4 verification failure; any other exception
+the flag), 3 I/O failure, 4 verification failure (its reason is logged
+as an error, so it shows at every level); any other exception
 is a bug and surfaces as a traceback.  Identical configuration and seed
 give byte-identical output.
 """
@@ -448,7 +449,7 @@ def cmd_asymptotics(opts: dict) -> int:
     write_output(dumps_json(report), opts["out"])
     if not all_converged:
         diverged = [p.name for p in probes if not p.converged]
-        log.warning("diverged probes: %s", ", ".join(diverged))
+        log.error("diverged probes: %s", ", ".join(diverged))
         return 4
     return 0
 
@@ -495,7 +496,7 @@ def cmd_verify(opts: dict) -> int:
     write_output(dumps_json(report), opts["out"])
     if not report["all_passed"]:
         failing = ", ".join(r.name for r in results if not r.passed)
-        print(f"failed checks: {failing}", file=sys.stderr)
+        log.error("failed checks: %s", failing)
         return 4
     return 0
 
@@ -549,8 +550,13 @@ _LOG_LEVELS = {
 
 
 def _setup_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("BOSONIC_MAC_LOG", "warn"), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    """Send the package's log records to the current stderr at the level
+    BOSONIC_MAC_LOG names, replacing the handler of an earlier call."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    log.handlers[:] = [handler]
+    log.setLevel(_LOG_LEVELS.get(os.environ.get("BOSONIC_MAC_LOG", "warn"), logging.WARNING))
+    log.propagate = False
 
 
 #: CLI flag of each library field whose name differs from it.
@@ -565,9 +571,27 @@ FLAGS = {
 }
 
 
+def _join_negative_encodings(argv: list) -> list:
+    """Glue a value such as ``-0.5,0`` to the ``--encoding`` flag before it.
+
+    argparse takes an argument that starts with '-' and is not a plain
+    number for an option, so ``--encoding -0.5,0`` would lack its value;
+    ``--encoding=-0.5,0`` is read as meant.
+    """
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1] == "--encoding" and arg[:1] == "-"
+                and (arg[1:2].isdigit() or arg[1:2] == ".")):
+            joined[-1] = f"--encoding={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_encodings(argv))
     try:
         return COMMANDS[args.command][0](options_for(args))
     except InputError as exc:

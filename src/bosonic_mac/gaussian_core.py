@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels as kernels
+from ._kernels import g_entropy, squeezing_cost  # re-exported as public names
 
 VACUUM_VARIANCE = 0.25
 
@@ -158,16 +159,6 @@ def fraction_squeezing(p: float, n: float) -> float:
     """Squeezing parameter that spends the share ``p`` of ``n`` photons,
     i.e. sinh(r)^2 = p * n."""
     return math.asinh(math.sqrt(p * n))
-
-
-def g_entropy(x: float) -> float:
-    """Entropy in bits of a thermal state with mean photon number ``x``."""
-    return kernels.g_entropy(x)
-
-
-def squeezing_cost(r: float) -> float:
-    """Mean photon number consumed by squeezing parameter ``r``."""
-    return kernels.squeezing_cost(r)
 
 
 def input_covariances(budget: PhotonBudget, params: ChannelParams):

@@ -97,19 +97,11 @@ class ModeEnsemble:
             raise ValueError("means and covs must have the same length")
 
 
-def mac_input_ensemble(
-    params: ChannelParams,
-    budget: PhotonBudget,
-    alice_mean=(0.0, 0.0),
-    bob_mean=(0.0, 0.0),
-) -> ModeEnsemble:
+def mac_input_ensemble(params: ChannelParams, budget: PhotonBudget) -> ModeEnsemble:
     """Input ensemble for :func:`mac_network`: squeezed or coherent
-    transmitter modes and the thermal environment mode."""
+    transmitter modes and the thermal environment mode, all centred."""
     x, y, z = input_covariances(budget, params)
-    return ModeEnsemble(
-        means=(tuple(alice_mean), tuple(bob_mean), (0.0, 0.0)),
-        covs=(x, y, z),
-    )
+    return ModeEnsemble(means=((0.0, 0.0),) * 3, covs=(x, y, z))
 
 
 def mode_transform(net: BeamsplitterNetwork) -> np.ndarray:
@@ -137,9 +129,6 @@ class PropagationResult:
     means: np.ndarray
     cov: np.ndarray
     receiver_mode: int
-
-    def mode_mean(self, mode: int):
-        return self.means[2 * mode], self.means[2 * mode + 1]
 
     def mode_covariance(self, mode: int) -> CovMatrix2:
         i = 2 * mode

@@ -42,6 +42,13 @@ class RateBundle:
     branch_ab: Branch
 
 
+def _require_diagonal(v: CovMatrix2) -> None:
+    """Raise ValueError if ``v`` has a cross covariance: the kernels take
+    the two quadrature variances only."""
+    if v.v12 != 0.0:
+        raise ValueError(f"rate kernels take diagonal covariances only, got v12={v.v12}")
+
+
 def big_g11(n: float, v: CovMatrix2) -> float:
     """g evaluated on the total receiver photon number: g(V1 + V2 + n - 1/2)."""
     if n < 0.0:
@@ -52,26 +59,26 @@ def big_g11(n: float, v: CovMatrix2) -> float:
 def big_g12(n: float, v: CovMatrix2) -> float:
     """Low-signal counterpart of :func:`big_g11`.
 
-    The bracket is evaluated in exactly factored form; see
-    :func:`big_g12_simplified` for the reduced expression used as a
-    cross-check when ``v12 == 0``.
+    The bracket is evaluated in exactly factored form;
+    :func:`big_g12_simplified` is the same quantity in reduced form.
     """
     if n < 0.0:
         raise ValueError(f"received photon number must be >= 0, got {n}")
-    return kernels.big_g12_raw(n, v.v11, v.v22, v.v12)
+    _require_diagonal(v)
+    return kernels.big_g12_raw(n, v.v11, v.v22)
 
 
 def big_g12_simplified(n: float, v: CovMatrix2) -> float:
-    """Reduced form g(2 sqrt(Vmax (n + Vmin)) - 1/2), valid for v12 = 0 only."""
-    if v.v12 != 0.0:
-        raise ValueError("simplified form requires v12 = 0")
+    """Reduced form g(2 sqrt(Vmax (n + Vmin)) - 1/2)."""
+    _require_diagonal(v)
     hi, lo = (v.v11, v.v22) if v.v11 >= v.v22 else (v.v22, v.v11)
     return kernels.g_entropy(2.0 * (hi * (n + lo)) ** 0.5 - 0.5)
 
 
 def big_g2(v: CovMatrix2) -> float:
-    """g evaluated on the symplectic eigenvalue: g(2 sqrt(det V) - 1/2)."""
-    return kernels.big_g2_raw(v.v11, v.v22, v.v12)
+    """g evaluated on the symplectic eigenvalue: g(2 sqrt(V1 V2) - 1/2)."""
+    _require_diagonal(v)
+    return kernels.big_g2_raw(v.v11, v.v22)
 
 
 def individual_rate(params: ChannelParams, budget: PhotonBudget, user: User):

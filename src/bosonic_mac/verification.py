@@ -131,9 +131,9 @@ def check_piecewise_continuity(
             params.eta1, params.eta2, params.n_thermal, r_cross, r_b
         )
         n = params.eta1 * params.eta2 * kernels.displacement_photons(n_a, r_cross)
-        g2 = kernels.big_g2_raw(v1, v2, 0.0)
+        g2 = kernels.big_g2_raw(v1, v2)
         branch1 = kernels.big_g11_raw(n, v1, v2) - g2
-        branch2 = kernels.big_g12_raw(n, v1, v2, 0.0) - g2
+        branch2 = kernels.big_g12_raw(n, v1, v2) - g2
         worst = max(worst, abs(branch1 - branch2))
     return CheckResult(
         "piecewise-continuity",

@@ -298,9 +298,9 @@ def test_criterion_09_piecewise_continuity():
             params.eta1, params.eta2, params.n_thermal, r_cross, r_b
         )
         n = params.eta1 * params.eta2 * _kernels.displacement_photons(n_a, r_cross)
-        g2 = _kernels.big_g2_raw(v1, v2, 0.0)
+        g2 = _kernels.big_g2_raw(v1, v2)
         branch1 = _kernels.big_g11_raw(n, v1, v2) - g2
-        branch2 = _kernels.big_g12_raw(n, v1, v2, 0.0) - g2
+        branch2 = _kernels.big_g12_raw(n, v1, v2) - g2
         worst = max(worst, abs(branch1 - branch2))
     elapsed = time.perf_counter() - start
     passed = worst < 1e-9 and elapsed < 1.0

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,6 +307,13 @@ class TestRegion:
         assert code == 0
         assert out.startswith("dataset,vertex,r_a,r_b\n")
 
+    @pytest.mark.parametrize("value", ["-0.5,0", "-.5,0.25"])
+    def test_negative_encoding_after_a_space(self, value, capsys):
+        joined = run(["region", f"--encoding={value}"], capsys)
+        spaced = run(["region", "--encoding", value], capsys)
+        assert joined[0] == spaced[0] == 0
+        assert spaced[1] == joined[1]
+
 
 class TestAsymptotics:
     def test_low_power_cases_converge(self, capsys):
@@ -433,3 +443,23 @@ class TestConfigAndOutput:
         code, _, err = run(["rates", "--out", "/no/such/dir/out.json"], capsys)
         assert code == 3
         assert "/no/such/dir/out.json" in err
+
+
+# Exit-4 reasons as a user sees them: a fresh interpreter, with the log
+# level set in the environment.
+EXIT_4 = [
+    (level, ["asymptotics", "--lemma", "1"], "high-power-heterodyne")
+    for level in ("error", "warn", "info", "debug")
+] + [("error", ["verify", "--draws", "30", "--tolerance", "0"], "covariance-oracle")]
+
+
+@pytest.mark.parametrize("level,argv,reason", EXIT_4,
+                         ids=[f"{lvl}-{a[0]}" for lvl, a, _ in EXIT_4])
+def test_exit_4_reason_on_stderr_at_every_log_level(level, argv, reason):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "BOSONIC_MAC_LOG": level,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bosonic_mac.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert reason in proc.stderr

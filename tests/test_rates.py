@@ -24,6 +24,7 @@ from bosonic_mac import (
     outer_bound,
     point_to_point,
     rate_bundle,
+    receiver_covariance,
     receiver_individual_rates,
     squeezing_cost,
     sum_rate,
@@ -96,9 +97,13 @@ class TestGFunctions:
         # full-signal branch and never evaluates the low-signal form.
         v = CovMatrix2(0.45, 0.45)
         assert big_g12(0.0, v) == pytest.approx(big_g11(0.0, v), rel=1e-14)
+        params = ChannelParams(0.4, 0.8, 1.0)
         for n in (0.0, 0.3, 2.0):
-            _, branch = _kernels.piecewise_rate(n, v.v11, v.v22, 0.0)
-            assert branch == 1
+            budget = PhotonBudget(n, n)  # coherent inputs give V1 = V2
+            cov = receiver_covariance(budget, params)
+            assert cov.v11 == cov.v22
+            bundle = rate_bundle(params, budget)
+            assert (bundle.branch_a, bundle.branch_b, bundle.branch_ab) == (Branch.ONE,) * 3
 
     def test_g12_equals_g11_at_threshold(self):
         v = CovMatrix2(0.9, 0.3)
@@ -127,6 +132,58 @@ class TestGFunctions:
         expected = float(mp_g(mpf("0.4")))
         assert expected == pytest.approx(1.2083687959932834, rel=1e-15)
         assert big_g2(CovMatrix2(0.45, 0.45)) == pytest.approx(expected, rel=1e-13)
+
+
+# rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b) and its outputs
+# (r_a, branch_a, r_b, branch_b, r_ab, branch_ab), pinned bit for bit:
+# the rates as float.hex.
+PINNED_TRIPLES = [
+    # coherent, n_a = 0: V1 = V2, so Alice sits on the exact tie 0 >= 0
+    ((0.5, 0.9, 1.0, 0.0, 2.0, 0.0, 0.0),
+     ("0x0.0p+0", 1, "0x1.843cd687ee01fp+0", 1, "0x1.843cd687ee01fp+0", 1)),
+    ((0.25, 0.9, 1.0, 1.0, 1000.0, 0.0, 0.0),
+     ("0x1.29b7578cdbc84p-1", 1, "0x1.4b7f2ba540553p+3", 1, "0x1.4b831b196606ep+3", 1)),
+    # p = 1: Alice spends her whole budget on squeezing
+    ((0.3, 0.8, 2.0, 2.0, 3.0, 1.1462158347805889, 0.0),
+     ("0x0.0p+0", 2, "0x1.53d199d46025cp+0", 1, "0x1.53d199d46025cp+0", 1)),
+    # p = 1 for both, opposite signs
+    ((0.6, 0.7, 0.5, 4.0, 5.0, -1.4436354751788103, 1.5444849524223014),
+     ("0x0.0p+0", 2, "0x0.0p+0", 2, "0x0.0p+0", 2)),
+    # eta1 = 0 and eta1 = 1
+    ((0.0, 0.9, 1.0, 3.0, 3.0, 0.5, -0.5),
+     ("0x0.0p+0", 2, "0x1.3f20040fc911ep+1", 1, "0x1.3f20040fc911ep+1", 1)),
+    ((1.0, 0.9, 1.0, 3.0, 3.0, 0.5, -0.5),
+     ("0x1.3f20040fc911ep+1", 1, "0x0.0p+0", 2, "0x1.3f20040fc911ep+1", 1)),
+    # n_thermal = 0
+    ((0.4, 0.95, 0.0, 1.5, 2.5, 0.3, 0.2),
+     ("0x1.78aad8d224696p+0", 1, "0x1.2d086a004124ep+1", 1, "0x1.5a5ea9d0d0852p+1", 1)),
+    ((0.2, 0.9, 4.0, 4.0, 8.0, 0.8, -0.4),
+     ("0x1.3aef46d31906ap-1", 1, "0x1.4cc58df531cbcp+1", 1, "0x1.5bdbb84a8a47cp+1", 1)),
+    # mixed branches at low power, eta2 = 1, and far-apart photon numbers
+    ((0.7, 0.3, 0.1, 0.01, 0.02, 0.05, -0.1),
+     ("0x1.921c4e44547c0p-8", 1, "0x1.cb28e5450b980p-9", 2, "0x1.3ac91cc5bfc00p-7", 1)),
+    ((0.5, 1.0, 3.0, 1e-09, 1000000000.0, 0.0, 2.0),
+     ("0x1.8f036c0000000p-29", 2, "0x1.c00cdb0e6323bp+4", 1, "0x1.c00cdb0e6323bp+4", 1)),
+    ((0.45, 0.55, 1000.0, 1000000.0, 0.001, -3.0, 0.0),
+     ("0x1.20ec87a8c79f2p+3", 1, "0x1.041d357800000p-20", 2, "0x1.20ec87a9b986cp+3", 1)),
+    ((0.9, 0.6, 0.2, 0.5, 0.5, 0.48121182505960347, -0.6584789484624084),
+     ("0x1.7dc9bb462e85cp-2", 2, "0x0.0p+0", 2, "0x1.7dc9bb462e85cp-2", 2)),
+]
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("fn", [
+        lambda v: big_g12(0.5, v), big_g2, lambda v: big_g12_simplified(0.5, v),
+    ], ids=["big_g12", "big_g2", "big_g12_simplified"])
+    def test_cross_covariance_rejected(self, fn):
+        with pytest.raises(ValueError, match="v12"):
+            fn(CovMatrix2(1.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("args,expected", PINNED_TRIPLES)
+    def test_rate_triple_bits(self, args, expected):
+        got = _kernels.rate_triple(*args)
+        assert got[1::2] == expected[1::2]
+        assert [x.hex() for x in got[0::2]] == list(expected[0::2])
 
 
 class TestJointDetectionRates:
