@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict
 from typing import NamedTuple
 
-from . import asymptotics, region, verification
+from . import asymptotics, region
 from .gaussian_core import ChannelParams, InputError, PhotonBudget, SqueezeFractions
 from .rates import (
     Receiver,
@@ -482,6 +482,8 @@ def cmd_verify(opts: dict) -> int:
     _require(1 <= draws <= MAX_DRAWS, "draws", f"must be in [1, {MAX_DRAWS}], got {draws}")
     _require(tolerance is None or math.isfinite(tolerance), "tolerance",
              f"must be finite, got {tolerance}")
+    from . import verification  # numpy; the other subcommands start without it
+
     results = verification.run_all(seed, draws, tolerance)
     report = {
         "seed": seed,
@@ -571,18 +573,20 @@ FLAGS = {
 }
 
 
-def _join_negative_encodings(argv: list) -> list:
-    """Glue a value such as ``-0.5,0`` to the ``--encoding`` flag before it.
+def _join_negative_values(argv: list) -> list:
+    """Glue a value such as ``-1e-3`` or ``-0.5,0`` to the flag before it.
 
-    argparse takes an argument that starts with '-' and is not a plain
-    number for an option, so ``--encoding -0.5,0`` would lack its value;
-    ``--encoding=-0.5,0`` is read as meant.
+    argparse reads an argument that starts with '-' as an option unless it
+    is a plain ``-<digits>[.<digits>]`` number, so ``--ra -1e-3`` or
+    ``--encoding -0.5,0`` would lack its value; ``--ra=-1e-3`` is read as
+    meant, also for an abbreviated flag.
     """
     joined = []
     for arg in argv:
-        if (joined and joined[-1] == "--encoding" and arg[:1] == "-"
+        flag = joined[-1] if joined else ""
+        if (flag[:2] == "--" and len(flag) > 2 and "=" not in flag and arg[:1] == "-"
                 and (arg[1:2].isdigit() or arg[1:2] == ".")):
-            joined[-1] = f"--encoding={arg}"
+            joined[-1] = f"{flag}={arg}"
         else:
             joined.append(arg)
     return joined
@@ -591,7 +595,7 @@ def _join_negative_encodings(argv: list) -> list:
 def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_encodings(argv))
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return COMMANDS[args.command][0](options_for(args))
     except InputError as exc:

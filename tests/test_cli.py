@@ -152,6 +152,28 @@ def test_tiny_eta_has_no_homodyne_rates(argv, capsys):
     assert receivers["heterodyne"] is not None
 
 
+# A negative value after a space reads as it does after '=', for every
+# flag, abbreviated or not.  argparse alone takes "-1e-3" or "-0.5,0" for
+# an option and exits 2 with "expected one argument".
+SPACED_NEGATIVES = [
+    (["rates", "--ra", "-1e-3", "--na", "1"], ["rates", "--ra=-1e-3", "--na", "1"]),
+    (["rates", "--rb", "-2e-1"], ["rates", "--rb=-2e-1"]),
+    (["rates", "--ra", "-.25", "--rb", "-0.5"], ["rates", "--ra=-.25", "--rb=-0.5"]),
+    (["rates", "--eta1", "-1e-3"], ["rates", "--eta1=-1e-3"]),
+    (["region", "--enc", "-0.5,0"], ["region", "--enc=-0.5,0"]),
+    (["region", "--encoding", "0,0", "--encoding", "-1e-1,0.5"],
+     ["region", "--encoding=0,0", "--encoding=-1e-1,0.5"]),
+    (["asymptotics", "--lemma", "2", "--case", "3", "--kappa", "-5e-1"],
+     ["asymptotics", "--lemma", "2", "--case", "3", "--kappa=-5e-1"]),
+]
+
+
+@pytest.mark.parametrize("spaced,joined", SPACED_NEGATIVES,
+                         ids=[" ".join(s) for s, _ in SPACED_NEGATIVES])
+def test_negative_value_after_a_space(spaced, joined, capsys):
+    assert run(spaced, capsys) == run(joined, capsys)
+
+
 class TestRates:
     def test_default_record(self, capsys):
         code, out, _ = run(["rates"], capsys)
