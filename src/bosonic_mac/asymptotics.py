@@ -1,14 +1,16 @@
 """Numerical verification of the asymptotic optimality claims.
 
-Each probe evaluates a rate ratio along a geometric photon-number schedule
-and certifies convergence to its target: the gap at the deepest point must
-fall below a per-probe tolerance and the approach must be monotone over
-the last few points.  Double limits are taken as nested schedules with the
-inner variable evaluated a fixed factor deeper than the outer one.
+Each probe evaluates a rate ratio along a fixed geometric photon-number
+schedule and certifies convergence to its target: the gap at the deepest
+point must fall below a per-probe tolerance and the approach must be
+monotone over the last few points.  Double limits are taken as nested
+schedules with the inner variable evaluated a fixed factor deeper than the
+outer one.
 """
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 from . import _kernels as kernels
 from ._search import golden_section_max
@@ -52,8 +54,8 @@ class LimitProbe:
     ratios: tuple
     target: float
     tolerance: float
-    monotone_points: int = MONOTONE_POINTS
     metadata: dict = field(default_factory=dict)
+    monotone_points: ClassVar[int] = MONOTONE_POINTS
 
     def __post_init__(self):
         steps = [b - a for a, b in zip(self.schedule, self.schedule[1:])]
@@ -98,6 +100,14 @@ class LimitProbe:
         }
 
 
+def _probe(name, schedule, ratios, target, tolerance, params, **metadata) -> LimitProbe:
+    """A probe whose metadata ends with the channel it was evaluated on."""
+    return LimitProbe(
+        name, schedule, tuple(ratios), target, tolerance,
+        {**metadata, "channel": asdict(params)},
+    )
+
+
 def high_power_heterodyne_ratio(
     n_user: float, params: ChannelParams, user: User = User.ALICE
 ) -> float:
@@ -117,126 +127,88 @@ def high_power_heterodyne_ratio(
 
 
 def high_power_heterodyne_probe(
-    params: ChannelParams = DEFAULT_CHANNEL, schedule=None, user: User = User.ALICE
+    params: ChannelParams = DEFAULT_CHANNEL, schedule=None
 ) -> LimitProbe:
     schedule = rising_schedule(8) if schedule is None else tuple(schedule)
-    ratios = tuple(high_power_heterodyne_ratio(n, params, user) for n in schedule)
-    return LimitProbe(
-        "high-power-heterodyne",
-        schedule,
-        ratios,
-        target=1.0,
-        tolerance=0.01,
-        metadata={"user": user.value, "channel": asdict(params)},
-    )
+    ratios = [high_power_heterodyne_ratio(n, params) for n in schedule]
+    return _probe("high-power-heterodyne", schedule, ratios, 1.0, 0.01, params, user="alice")
 
 
-def homodyne_asymptotic_ratio(n_a: float, params: ChannelParams, n_b_schedule):
-    """Best homodyne-to-outer-bound ratio for each Bob photon number.
+def homodyne_asymptotic_ratio(n_a: float, n_b: float, params: ChannelParams):
+    """Best homodyne-to-outer-bound ratio for Alice at ``n_a``, Bob at ``n_b``.
 
     Bob spends his whole budget squeezing the measured quadrature
     (r_b = -asinh(sqrt(n_b))); Alice's squeezing parameter is optimized by
     golden-section search over the interval her own budget affords, capped
-    at [-10, 10].  Returns a list of (n_b, ratio, best_r_a) triples.
+    at [-10, 10].  Returns (ratio, best_r_a), both 0.0 when ``n_a`` is 0.
     """
     if n_a == 0.0:
-        return [(n_b, 0.0, 0.0) for n_b in n_b_schedule]
+        return 0.0, 0.0
     budget = PhotonBudget(n_a, 0.0)
     _require_receiver(params, budget, Receiver.HOMODYNE)
     rub = _reference(outer_bound(params, budget, User.ALICE), params)
     r_cap = min(10.0, math.asinh(math.sqrt(n_a)))
-    out = []
-    for n_b in n_b_schedule:
-        r_b = -math.asinh(math.sqrt(n_b))
+    r_b = -math.asinh(math.sqrt(n_b))
 
-        def rate(r_a, n_b=n_b, r_b=r_b):
-            n_alpha = kernels.displacement_photons(n_a, r_a)
-            return kernels.homodyne_rate_raw(
-                params.eta1, params.eta2, params.n_thermal,
-                n_alpha, 0.0, r_a, r_b,
-            )
+    def rate(r_a):
+        n_alpha = kernels.displacement_photons(n_a, r_a)
+        return kernels.homodyne_rate_raw(
+            params.eta1, params.eta2, params.n_thermal, n_alpha, 0.0, r_a, r_b
+        )
 
-        r_best, best = golden_section_max(rate, -r_cap, r_cap, tol=1e-8)
-        out.append((n_b, best / rub, r_best))
-    return out
+    r_best, best = golden_section_max(rate, -r_cap, r_cap, tol=1e-8)
+    return best / rub, r_best
 
 
-def homodyne_half_probe(
-    params: ChannelParams = DEFAULT_CHANNEL, schedule=None
-) -> LimitProbe:
+def homodyne_half_probe(params: ChannelParams = DEFAULT_CHANNEL) -> LimitProbe:
     """Optimized homodyne ratio along a rising schedule; the double limit is 1/2."""
-    schedule = rising_schedule(6) if schedule is None else tuple(schedule)
-    ratios, best_r_a = [], []
-    for n in schedule:
-        (_, ratio, r_a) = homodyne_asymptotic_ratio(n, params, [n * INNER_DEPTH])[0]
-        ratios.append(ratio)
-        best_r_a.append(r_a)
-    return LimitProbe(
-        "homodyne-half",
-        schedule,
-        tuple(ratios),
-        target=0.5,
-        tolerance=0.05,
-        metadata={
-            "inner_n_b_factor": INNER_DEPTH,
-            "optimal_r_a": best_r_a,
-            "channel": asdict(params),
-        },
+    schedule = rising_schedule(6)
+    ratios, best_r_a = zip(
+        *(homodyne_asymptotic_ratio(n, n * INNER_DEPTH, params) for n in schedule)
+    )
+    return _probe(
+        "homodyne-half", schedule, ratios, 0.5, 0.05, params,
+        inner_n_b_factor=INNER_DEPTH, optimal_r_a=list(best_r_a),
     )
 
 
-def low_power_bob_first_probe(
-    params: ChannelParams = DEFAULT_CHANNEL, schedule=None
-) -> LimitProbe:
+def _alice_capacity(params: ChannelParams, x: float) -> float:
+    """Alice's thermal-loss capacity g(x + y) - g(y) at received signal ``x``, the
+    low-power reference (Giovannetti et al., Nat. Photonics 8, 796 (2014))."""
+    return _reference(point_to_point(x, (1.0 - params.eta2) * params.n_thermal), params)
+
+
+def low_power_bob_first_probe(params: ChannelParams = DEFAULT_CHANNEL) -> LimitProbe:
     """Both users coherent, Bob's photon number vanishing first.
 
     With a coherent Bob the reduction to the point-to-point capacity is
     exact, so the ratio is identically 1 along the whole schedule.
     """
-    schedule = falling_schedule(6) if schedule is None else tuple(schedule)
-    y = (1.0 - params.eta2) * params.n_thermal
+    schedule = falling_schedule(6)
     ratios = []
     for n in schedule:
-        budget = PhotonBudget(n, n / INNER_DEPTH)
-        rate, _ = individual_rate(params, budget, User.ALICE)
-        ratios.append(rate / _reference(point_to_point(params.eta1 * params.eta2 * n, y), params))
-    return LimitProbe(
-        "low-power-bob-first",
-        schedule,
-        tuple(ratios),
-        target=1.0,
-        tolerance=0.01,
-        metadata={"inner_n_a_factor": 1.0 / INNER_DEPTH, "channel": asdict(params)},
+        rate, _ = individual_rate(params, PhotonBudget(n, n / INNER_DEPTH), User.ALICE)
+        ratios.append(rate / _alice_capacity(params, params.eta1 * params.eta2 * n))
+    return _probe(
+        "low-power-bob-first", schedule, ratios, 1.0, 0.01, params,
+        inner_n_a_factor=1.0 / INNER_DEPTH,
     )
 
 
-def low_power_alice_first_probe(
-    params: ChannelParams = DEFAULT_CHANNEL, schedule=None
-) -> LimitProbe:
+def low_power_alice_first_probe(params: ChannelParams = DEFAULT_CHANNEL) -> LimitProbe:
     """Alice's photon number vanishing first while Bob squeezes his entire
     budget (r_b = asinh(sqrt(n_b))); the low-signal branch must be active."""
-    schedule = falling_schedule(6) if schedule is None else tuple(schedule)
-    y = (1.0 - params.eta2) * params.n_thermal
+    schedule = falling_schedule(6)
     ratios, branches = [], []
     for n_b in schedule:
         n_a = n_b / INNER_DEPTH
         budget = PhotonBudget(n_a, n_b, 0.0, math.asinh(math.sqrt(n_b)))
         rate, branch = individual_rate(params, budget, User.ALICE)
-        ratios.append(
-            rate / _reference(point_to_point(params.eta1 * params.eta2 * n_a, y), params)
-        )
+        ratios.append(rate / _alice_capacity(params, params.eta1 * params.eta2 * n_a))
         branches.append(int(branch))
-    return LimitProbe(
-        "low-power-alice-first",
-        schedule,
-        tuple(ratios),
-        target=1.0,
-        tolerance=0.01,
-        metadata={
-            "inner_n_a_factor": 1.0 / INNER_DEPTH,
-            "branches": branches,
-            "channel": asdict(params),
-        },
+    return _probe(
+        "low-power-alice-first", schedule, ratios, 1.0, 0.01, params,
+        inner_n_a_factor=1.0 / INNER_DEPTH, branches=branches,
     )
 
 
@@ -287,9 +259,7 @@ def max_bob_scale_branch1(a: float, eta1: float, n: float) -> float:
 
 
 def low_power_simultaneous_probes(
-    config: CaseThreeConfig,
-    params: ChannelParams = DEFAULT_CHANNEL,
-    schedule=None,
+    config: CaseThreeConfig, params: ChannelParams = DEFAULT_CHANNEL
 ):
     """Both budgets vanishing together; returns (branch-1 probe, branch-2 probe).
 
@@ -300,7 +270,7 @@ def low_power_simultaneous_probes(
     Alice splitting her budget p_a : (1 - p_a) between displacement and
     squeezing and Bob squeezing b*n photons.
     """
-    schedule = falling_schedule(6) if schedule is None else tuple(schedule)
+    schedule = falling_schedule(6)
     y = (1.0 - params.eta2) * params.n_thermal
     b1_ratios, branches, b_values = [], [], []
     b2_ratios = []
@@ -312,8 +282,9 @@ def low_power_simultaneous_probes(
             config.a * n, squeezed, 0.0, math.asinh(math.sqrt(squeezed))
         )
         rate, branch = individual_rate(params, budget, User.ALICE)
-        c_a = _reference(point_to_point(params.eta1 * params.eta2 * config.a * n, y), params)
-        b1_ratios.append(rate / c_a)
+        # Not eta1 * eta2 * (a * n), which rounds differently when a != 1.
+        x = params.eta1 * params.eta2 * config.a * n
+        b1_ratios.append(rate / _alice_capacity(params, x))
         branches.append(int(branch))
 
         r_a = math.asinh(math.sqrt(config.a * (1.0 - config.p_a) * n))
@@ -321,43 +292,21 @@ def low_power_simultaneous_probes(
         budget2 = PhotonBudget(config.a * n, config.b * n, r_a, r_b)
         v = receiver_covariance(budget2, params)
         n_ca = params.eta1 * params.eta2 * config.p_a * config.a * n
-        g11_coherent = kernels.g_entropy(
-            params.eta1 * params.eta2 * config.a * n + y
-        )
-        b2_ratios.append(big_g12(n_ca, v) / g11_coherent)
+        b2_ratios.append(big_g12(n_ca, v) / kernels.g_entropy(x + y))
 
-    meta = {
-        "a": config.a,
-        "kappa": config.kappa,
-        "b_along_schedule": b_values,
-        "branches": branches,
-        "channel": asdict(params),
-    }
-    probe1 = LimitProbe(
-        "low-power-simultaneous-branch1",
-        schedule,
-        tuple(b1_ratios),
-        target=1.0,
-        tolerance=0.01,
-        metadata=meta,
+    return (
+        _probe(
+            "low-power-simultaneous-branch1", schedule, b1_ratios, 1.0, 0.01, params,
+            a=config.a, kappa=config.kappa, b_along_schedule=b_values, branches=branches,
+        ),
+        _probe(
+            "low-power-simultaneous-branch2", schedule, b2_ratios, 1.0, 0.01, params,
+            a=config.a, b=config.b, p_a=config.p_a,
+        ),
     )
-    probe2 = LimitProbe(
-        "low-power-simultaneous-branch2",
-        schedule,
-        tuple(b2_ratios),
-        target=1.0,
-        tolerance=0.01,
-        metadata={
-            "a": config.a,
-            "b": config.b,
-            "p_a": config.p_a,
-            "channel": asdict(params),
-        },
-    )
-    return probe1, probe2
 
 
-def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL, schedule=None):
+def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL):
     """Structured-receiver-to-joint-detection ratios at low photon number.
 
     Returns (heterodyne probe, homodyne probe) with target 0.  Both ratios
@@ -366,28 +315,19 @@ def receiver_gap_probes(params: ChannelParams = DEFAULT_CHANNEL, schedule=None):
     measured plateau honestly rather than certifying a vanishing limit.
     """
     if params.n_thermal <= 0.0:
-        raise ValueError(
-            "requires n_thermal > 0; the pure-loss scaling is a different regime"
+        raise InputError(
+            "n_thermal", "must be > 0 for the receiver-gap probes; pure loss scales differently"
         )
-    schedule = falling_schedule(6) if schedule is None else tuple(schedule)
-    het_ratios, hom_ratios = [], []
+    schedule = falling_schedule(6)
+    traces = {Receiver.HETERODYNE: [], Receiver.HOMODYNE: []}
     for n in schedule:
         budget = PhotonBudget(n, n)
         r_max = _reference(individual_rate(params, budget, User.ALICE)[0], params)
-        het = receiver_individual_rates(params, budget, Receiver.HETERODYNE, User.ALICE)
-        hom = receiver_individual_rates(params, budget, Receiver.HOMODYNE, User.ALICE)
-        het_ratios.append(het / r_max)
-        hom_ratios.append(hom / r_max)
-    meta = {"channel": asdict(params)}
-    return (
-        LimitProbe(
-            "receiver-gap-heterodyne", schedule, tuple(het_ratios),
-            target=0.0, tolerance=0.1, metadata=meta,
-        ),
-        LimitProbe(
-            "receiver-gap-homodyne", schedule, tuple(hom_ratios),
-            target=0.0, tolerance=0.1, metadata=meta,
-        ),
+        for receiver, ratios in traces.items():
+            ratios.append(receiver_individual_rates(params, budget, receiver, User.ALICE) / r_max)
+    return tuple(
+        _probe(f"receiver-gap-{receiver.value}", schedule, ratios, 0.0, 0.1, params)
+        for receiver, ratios in traces.items()
     )
 
 
@@ -412,4 +352,3 @@ def _reference(rate: float, params: ChannelParams, user: User = User.ALICE) -> f
         f"reference rate is 0 (eta1={params.eta1}, eta2={params.eta2}, "
         f"n_thermal={params.n_thermal})",
     )
-

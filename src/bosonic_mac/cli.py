@@ -434,11 +434,9 @@ def cmd_asymptotics(opts: dict) -> int:
             probes.append(asymptotics.low_power_alice_first_probe(params))
         if "3" in selected:
             probes.extend(asymptotics.low_power_simultaneous_probes(config, params))
-    if which in ("receiver-gap", "all"):
-        if params.n_thermal > 0.0:
-            probes.extend(asymptotics.receiver_gap_probes(params))
-        elif which == "receiver-gap":
-            raise InputError("nt", "receiver-gap probes require nt > 0")
+    # The receiver-gap probes reject pure loss; "all" skips them there.
+    if which == "receiver-gap" or (which == "all" and params.n_thermal > 0.0):
+        probes.extend(asymptotics.receiver_gap_probes(params))
 
     all_converged = all(p.converged for p in probes)
     report = {

@@ -7,6 +7,7 @@ this package produces).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _kernels as kernels
@@ -58,6 +59,11 @@ class ChannelParams:
         if not 0.0 <= self.eta2 <= 1.0:
             raise InputError("eta2", f"must be in [0, 1], got {self.eta2}")
         _require_photons("n_thermal", self.n_thermal)
+        # The receiver variances carry 2 * n_thermal + 1.
+        if not math.isfinite(2.0 * self.n_thermal + 1.0):
+            raise InputError(
+                "n_thermal", f"must be at most {sys.float_info.max / 2}, got {self.n_thermal}"
+            )
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,7 @@ class TestHighPowerHeterodyne:
 
 class TestHomodyneHalfLimit:
     def test_zero_alice_budget(self):
-        points = homodyne_asymptotic_ratio(0.0, DEFAULT_CHANNEL, [1.0, 10.0])
-        assert [ratio for _, ratio, _ in points] == [0.0, 0.0]
+        assert homodyne_asymptotic_ratio(0.0, 10.0, DEFAULT_CHANNEL) == (0.0, 0.0)
 
     def test_probe_converges_to_half(self):
         probe = homodyne_half_probe()
@@ -109,14 +108,14 @@ class TestHomodyneHalfLimit:
         # Without the environment coupling (eta2 = 1) the optimized ratio
         # climbs toward 1 instead of 1/2.
         params = ChannelParams(0.5, 1.0, 0.0)
-        (_, ratio, _) = homodyne_asymptotic_ratio(1e8, params, [1e8])[0]
+        ratio, _ = homodyne_asymptotic_ratio(1e8, 1e8, params)
         assert ratio > 0.9
 
     def test_vacuum_loss_port_still_halves(self):
         # Any eta2 < 1 leaves vacuum noise in the measured quadrature, so
         # even a noiseless environment pins the double limit at 1/2.
         params = ChannelParams(0.5, 0.9, 0.0)
-        (_, ratio, _) = homodyne_asymptotic_ratio(1e8, params, [1e8])[0]
+        ratio, _ = homodyne_asymptotic_ratio(1e8, 1e8, params)
         assert abs(ratio - 0.5) < 0.06
 
 
@@ -178,12 +177,10 @@ class TestLowPowerCases:
         # Bob's permitted squeezing shifts the ratio by an amount that
         # shrinks along the schedule; squeezing is asymptotically useless.
         schedule = falling_schedule(6)
-        base, _ = low_power_simultaneous_probes(CaseThreeConfig(kappa=0.0), schedule=schedule)
+        base, _ = low_power_simultaneous_probes(CaseThreeConfig(kappa=0.0))
         deltas = {}
         for kappa in (0.5, 1.0):
-            probe, _ = low_power_simultaneous_probes(
-                CaseThreeConfig(kappa=kappa), schedule=schedule
-            )
+            probe, _ = low_power_simultaneous_probes(CaseThreeConfig(kappa=kappa))
             diffs = [abs(a - b) for a, b in zip(probe.ratios, base.ratios)]
             tail = [d for n, d in zip(schedule, diffs) if n <= 1e-4]
             assert all(d < 1e-4 for d in tail)
@@ -268,3 +265,102 @@ def test_schedules():
     assert up[0] == 1.0 and up[-1] == 1e8 and len(up) == 9
     down = falling_schedule(6)
     assert down[0] == 1.0 and down[-1] == 1e-6 and len(down) == 7
+
+
+#: float.hex of each probe's ratios and metadata lists on PROBE_CHANNEL
+#: with PROBE_CONFIG.  Case 3 with a != 1 pins the association of
+#: eta1 * eta2 * a * n in the branch-1 reference: eta1 * eta2 * (a * n)
+#: rounds differently.
+PROBE_CHANNEL = ChannelParams(0.2, 0.99, 0.01)
+PROBE_CONFIG = CaseThreeConfig(a=0.7, b=2.5, kappa=0.3, p_a=0.8)
+PROBE_BITS = {
+    "high-power-heterodyne": {
+        "ratios": [
+            "0x1.0c5d6fa47a412p-3", "0x1.4eb005ed72e7cp-2", "0x1.1581c7d2569f5p-1",
+            "0x1.572b41c7340a6p-1", "0x1.7d125dca93025p-1", "0x1.952b36cd6d787p-1",
+            "0x1.a5c87e5949512p-1", "0x1.b1ed16d84d3f7p-1", "0x1.bb302850225aap-1",
+        ],
+    },
+    "homodyne-half": {
+        "ratios": [
+            "0x1.80cd42a614a45p-1", "0x1.a05475b888715p-1", "0x1.85d596ffac2c9p-1",
+            "0x1.688350c99b97ap-1", "0x1.534f8afcfd4bep-1", "0x1.44956e987d00fp-1",
+            "0x1.3a14d7b389c02p-1",
+        ],
+        "optimal_r_a": [
+            "-0x1.0933eb3a39b1cp-1", "-0x1.5bad94084fea8p+0", "-0x1.10d780482d930p+1",
+            "-0x1.63e13e295e586p+1", "-0x1.b097a0221bd14p+1", "-0x1.fb3ccb2c52736p+1",
+            "-0x1.229cc9899799ep+2",
+        ],
+    },
+    "low-power-bob-first": {
+        "ratios": [
+            "0x1.0000000000000p+0", "0x1.000000000000ap+0", "0x1.fffffffffffcep-1",
+            "0x1.00000000002c8p+0", "0x1.0000000000cb7p+0", "0x1.ffffffffd05b2p-1",
+            "0x1.fffffffde34eep-1",
+        ],
+    },
+    "low-power-alice-first": {
+        "ratios": [
+            "0x1.cebc3618f264ep-1", "0x1.7a3ace21d5337p-1", "0x1.9df1d0d9f403bp-1",
+            "0x1.e167ea23abc22p-1", "0x1.ff8e596ca6f64p-1", "0x1.00d41bd928622p+0",
+            "0x1.005c212ba29acp+0",
+        ],
+        "branches": [2, 2, 2, 2, 2, 2, 2],
+    },
+    "low-power-simultaneous-branch1": {
+        "ratios": [
+            "0x1.02757eff1bbc7p+0", "0x1.009c2ebfd8974p+0", "0x1.00159bc727373p+0",
+            "0x1.0002895814ea7p+0", "0x1.0000450052b33p+0", "0x1.000006f728172p+0",
+            "0x1.000000b3e310ap+0",
+        ],
+        "branches": [1, 1, 1, 1, 1, 1, 1],
+        "b_along_schedule": [
+            "0x1.245c6cd8eadbbp-7", "0x1.e18acbd6ef66cp-11", "0x1.8159ba5bfd0f3p-14",
+            "0x1.3448058aa9a49p-17", "0x1.ed4009d8c24adp-21", "0x1.8a99a17c36dfdp-24",
+            "0x1.3bae1ac9c99c3p-27",
+        ],
+    },
+    "low-power-simultaneous-branch2": {
+        "ratios": [
+            "0x1.65d1dbd8e779bp+1", "0x1.4f46b7e4854b8p+1", "0x1.2be25640eb548p+1",
+            "0x1.d303481e73067p+0", "0x1.2cedb965d5e0cp+0", "0x1.050d43a5a8862p+0",
+            "0x1.0082b7b6d02bep+0",
+        ],
+    },
+    "receiver-gap-heterodyne": {
+        "ratios": [
+            "0x1.58e941fe840cfp-2", "0x1.9dc5f8be2c2d1p-3", "0x1.2342351591fcdp-3",
+            "0x1.ddf686822b22dp-4", "0x1.c12805fa980bep-4", "0x1.bd193e197e71fp-4",
+            "0x1.bcabe84079551p-4",
+        ],
+    },
+    "receiver-gap-homodyne": {
+        "ratios": [
+            "0x1.1670777e07e14p-1", "0x1.9222e2719e525p-2", "0x1.22660942ff067p-2",
+            "0x1.ddd2366b4be20p-3", "0x1.c1249bf4c912bp-3", "0x1.bd18e77b88465p-3",
+            "0x1.bcabdf9931bd9p-3",
+        ],
+    },
+}
+
+
+def test_probe_bits():
+    params = PROBE_CHANNEL
+    probes = [
+        high_power_heterodyne_probe(params),
+        homodyne_half_probe(params),
+        low_power_bob_first_probe(params),
+        low_power_alice_first_probe(params),
+        *low_power_simultaneous_probes(PROBE_CONFIG, params),
+        *receiver_gap_probes(params),
+    ]
+    bits = {}
+    for probe in probes:
+        fields = bits[probe.name] = {"ratios": [r.hex() for r in probe.ratios]}
+        for key in ("optimal_r_a", "b_along_schedule"):
+            if key in probe.metadata:
+                fields[key] = [v.hex() for v in probe.metadata[key]]
+        if "branches" in probe.metadata:
+            fields["branches"] = probe.metadata["branches"]
+    assert bits == PROBE_BITS

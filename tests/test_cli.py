@@ -42,6 +42,8 @@ BAD_INPUTS = [
     (["asymptotics", "--eta2", "0"], "eta2"),
     (["asymptotics", "--eta1", "1"], "eta1"),
     (["asymptotics", "--nt", "1e300"], "nt"),
+    (["asymptotics", "--eta2", "1", "--nt", "1e308"], "nt"),
+    (["rates", "--eta2", "1", "--nt", "1e308"], "nt"),
     (["surface", "--grid", "514"], "grid"),
     (["optimize", "--grid", "1"], "grid"),
     (["verify", "--seed", "-1"], "seed"),
