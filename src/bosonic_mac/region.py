@@ -9,6 +9,7 @@ orientations.
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import _kernels as kernels
 from ._search import golden_section_max
@@ -94,17 +95,23 @@ def _fractions(points: int) -> tuple:
 
 
 def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, layers=SIGN_LAYERS):
-    """Walk the (sign_a, sign_b, p_a, p_b) grid in layer-major, row-major
-    order, yielding (p_a, p_b, sign_a, sign_b, kernels.rate_triple(...))
-    for the squeezing that spends those fractions of ``n_a`` and ``n_b``."""
+    """For each (sign_a, sign_b) of ``layers``, yield sign_a, sign_b and the
+    list of kernels.rate_grid over the squeezings that spend the fractions
+    ``p_values`` of ``n_a`` (rows) and of ``n_b`` (columns): one rate
+    triple per (p_a, p_b) cell, in row-major order."""
+    r_a = [fraction_squeezing(p, n_a) for p in p_values]
+    r_b = [fraction_squeezing(p, n_b) for p in p_values]
     for sign_a, sign_b in layers:
-        r_b_values = [sign_b * fraction_squeezing(p_b, n_b) for p_b in p_values]
-        for p_a in p_values:
-            r_a = sign_a * fraction_squeezing(p_a, n_a)
-            for p_b, r_b in zip(p_values, r_b_values):
-                yield p_a, p_b, sign_a, sign_b, kernels.rate_triple(
-                    params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b
-                )
+        yield sign_a, sign_b, kernels.rate_grid(
+            params.eta1, params.eta2, params.n_thermal, n_a, n_b,
+            [sign_a * r for r in r_a], [sign_b * r for r in r_b],
+        )
+
+
+def _first_max(values):
+    """(largest value, index of its first occurrence)."""
+    top = max(values)
+    return top, values.index(top)
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,17 @@ def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 3
 
     Only the photon totals of ``budget`` are used; its squeezing
     parameters are replaced cell by cell.  The p = 0 row and column carry
-    the coherent baseline.
+    the coherent baseline.  Each sign layer is one ``kernels.rate_grid``
+    call, whose rate columns go into the table as they are.
     """
-    cells = _sweep(params, budget.n_a, budget.n_b, _fractions(grid_n))
-    table = tuple(
-        (p_a, p_b, sign_a, sign_b, rates[0], rates[2])
-        for p_a, p_b, sign_a, sign_b, rates in cells
-    )
-    return SqueezeSurface(grid_n, table)
+    p_values = _fractions(grid_n)
+    p_a_column = [p_a for p_a in p_values for _ in p_values]
+    p_b_column = list(p_values) * grid_n
+    table = []
+    for sign_a, sign_b, cells in _sweep(params, budget.n_a, budget.n_b, p_values):
+        ra, _, rb, _, _, _ = zip(*cells)
+        table.extend(zip(p_a_column, p_b_column, repeat(sign_a), repeat(sign_b), ra, rb))
+    return SqueezeSurface(grid_n, tuple(table))
 
 
 @dataclass(frozen=True)
@@ -196,9 +206,10 @@ def optimize_squeezing(
 
     baseline = value(0.0, 0.0, 1, 1)
     best = (baseline, 0.0, 0.0, 1, 1)
-    for p_a, p_b, sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
-        if rates[idx] > best[0]:
-            best = (rates[idx], p_a, p_b, sign_a, sign_b)
+    for sign_a, sign_b, cells in _sweep(params, budget.n_a, budget.n_b, p_values):
+        top, k = _first_max([rates[idx] for rates in cells])
+        if top > best[0]:
+            best = (top, p_values[k // grid_n], p_values[k % grid_n], sign_a, sign_b)
 
     _, p_a, p_b, sign_a, sign_b = best
     step = 1.0 / (grid_n - 1)
@@ -366,11 +377,14 @@ def global_constraint_scan(
     p_values = _fractions(fraction_points)
     best = {}
     for s in _fractions(s_points):
-        cells = _sweep(
+        (_, _, cells), = _sweep(
             params, s * total_photons, (1.0 - s) * total_photons, p_values, layers=((1, 1),)
         )
-        for p_a, p_b, _, _, (ra, _, rb, _, rab, _) in cells:
-            for name, v in (("alice", ra), ("bob", rb), ("sum", rab)):
-                if name not in best or v > best[name].value:
-                    best[name] = ScanCell(s, p_a, p_b, v)
+        ra, _, rb, _, rab, _ = zip(*cells)
+        for name, values in (("alice", ra), ("bob", rb), ("sum", rab)):
+            top, k = _first_max(values)
+            if name not in best or top > best[name].value:
+                best[name] = ScanCell(
+                    s, p_values[k // fraction_points], p_values[k % fraction_points], top
+                )
     return ScanReport(total_photons, best)

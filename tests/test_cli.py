@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -174,6 +176,71 @@ SPACED_NEGATIVES = [
                          ids=[" ".join(s) for s, _ in SPACED_NEGATIVES])
 def test_negative_value_after_a_space(spaced, joined, capsys):
     assert run(spaced, capsys) == run(joined, capsys)
+
+
+# Rows of floats and ints are written with one %-template; every other row,
+# and any row with inf or nan, value by value.  Both paths give one text.
+SERIALIZER_ROWS = [
+    [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    [2**70, -(2**70), 0, -1, 7],
+    [0.1, 2, -3.5, 2**70, 1e-300, 0.3333333333333333, -0.0, 1],
+    [],
+    [1.0],
+    ["label", 0.5, 3],
+    [True, False, 1, 0.0],
+    [None, 0.25, None],
+    [[1.0, 2], [], [[-0.0, 5e-324], "x"]],
+    (0.125, 0.5, 1, -1, 0.7, 1e16),
+]
+
+
+def _per_value_only(monkeypatch):
+    monkeypatch.setattr(cli, "_number_row", lambda row, sep: None)
+
+
+def test_row_template_matches_per_value_path(monkeypatch):
+    flat = [row for row in SERIALIZER_ROWS if not any(isinstance(v, list) for v in row)]
+    header = [f"c{i}" for i in range(8)]
+    csv = cli.dumps_csv(header, flat)
+    json_text = cli.dumps_json({"rows": SERIALIZER_ROWS, "one": SERIALIZER_ROWS[2]})
+    _per_value_only(monkeypatch)
+    assert csv == cli.dumps_csv(header, flat)
+    assert json_text == cli.dumps_json({"rows": SERIALIZER_ROWS, "one": SERIALIZER_ROWS[2]})
+    assert csv.split("\n")[1] == (
+        "-0,0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308")
+    assert csv.split("\n")[2] == "1180591620717411303424,-1180591620717411303424,0,-1,7"
+    assert json.loads(json_text)["rows"][6] == [True, False, 1, 0.0]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_row_raises_the_per_value_error(bad, monkeypatch):
+    rows = [[1.0, 2, bad, math.inf]]
+    errors = []
+    for _ in range(2):
+        for dump in (lambda: cli.dumps_csv(["a", "b", "c", "d"], rows),
+                     lambda: cli.dumps_json({"rows": rows})):
+            with pytest.raises(cli.CliError) as exc:
+                dump()
+            errors.append(str(exc.value))
+        _per_value_only(monkeypatch)
+    assert errors == [f"non-finite number in output: {bad}"] * 4
+
+
+#: sha256 of `surface --grid 9` for one channel, recorded before the
+#: surface rows went through the kernel grid walk and the row templates.
+SURFACE_9 = ["surface", "--grid", "9", "--eta1", "0.3", "--eta2", "0.85", "--nt", "0.5",
+             "--na", "2.5", "--nb", "7"]
+SURFACE_9_SHA256 = {
+    "csv": "c322f47199d223321e7189441da55e41441f7c831810a8ab5949fab1d1cfdd09",
+    "json": "30cd726e8571660dca3b1cdde628a2074898df23d40116df67788c7b53ff8598",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SURFACE_9_SHA256))
+def test_surface_bytes_are_pinned(fmt, capsys):
+    code, out, _ = run(SURFACE_9 + ["--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SURFACE_9_SHA256[fmt]
 
 
 class TestRates:

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,7 +19,16 @@ from bosonic_mac import (
     pentagon_at,
     squeeze_surface,
 )
-from bosonic_mac.region import SIGN_LAYERS, convex_hull
+from bosonic_mac import _kernels as kernels
+from bosonic_mac._search import golden_section_max
+from bosonic_mac.gaussian_core import fraction_squeezing
+from bosonic_mac.region import (
+    OPTIMIZE_TOL,
+    SIGN_LAYERS,
+    OptimizeResult,
+    _fractions,
+    convex_hull,
+)
 
 
 class TestPentagon:
@@ -249,3 +260,155 @@ class TestGlobalScan:
         doc = report.to_dict()
         assert set(doc["argmax"]) == {"alice", "bob", "sum"}
         assert doc["total_photons"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# The grid walk against per-cell rate_triple, bit for bit.
+
+def _bits(value):
+    """float.hex of every float in a nest of tuples, lists and records."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _outcome(fn):
+    """What ``fn`` returns, or the type of the arithmetic error it raises."""
+    try:
+        return _bits(fn())
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _triple_at(params, n_a, n_b, r_a, r_b):
+    return kernels.rate_triple(params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b)
+
+
+def _loop_grid(params, n_a, n_b, r_a_values, r_b_values):
+    return [_triple_at(params, n_a, n_b, r_a, r_b) for r_a in r_a_values for r_b in r_b_values]
+
+
+def _loop_cells(params, n_a, n_b, p_values, layers=SIGN_LAYERS):
+    """(p_a, p_b, sign_a, sign_b, rate_triple) per cell, layer-major and
+    row-major, one rate_triple call per cell."""
+    for sign_a, sign_b in layers:
+        for p_a in p_values:
+            r_a = sign_a * fraction_squeezing(p_a, n_a)
+            for p_b in p_values:
+                r_b = sign_b * fraction_squeezing(p_b, n_b)
+                yield p_a, p_b, sign_a, sign_b, _triple_at(params, n_a, n_b, r_a, r_b)
+
+
+def _loop_surface(params, budget, grid_n):
+    return tuple(
+        (p_a, p_b, sign_a, sign_b, rates[0], rates[2])
+        for p_a, p_b, sign_a, sign_b, rates in _loop_cells(
+            params, budget.n_a, budget.n_b, _fractions(grid_n))
+    )
+
+
+def _loop_scan(params, total, s_points, fraction_points):
+    """Argmax cells (s, p_a, p_b, value) by strict improvement, earliest first."""
+    best = {}
+    for s in _fractions(s_points):
+        cells = _loop_cells(params, s * total, (1.0 - s) * total,
+                            _fractions(fraction_points), layers=((1, 1),))
+        for p_a, p_b, _, _, (ra, _, rb, _, rab, _) in cells:
+            for name, v in (("alice", ra), ("bob", rb), ("sum", rab)):
+                if name not in best or v > best[name][3]:
+                    best[name] = (s, p_a, p_b, v)
+    return best
+
+
+def _loop_optimize(params, budget, objective, grid_n):
+    idx = {Objective.MAX_RA: 0, Objective.MAX_RB: 2, Objective.MAX_SUM: 4}[objective]
+
+    def value(p_a, p_b, sign_a, sign_b):
+        return _triple_at(params, budget.n_a, budget.n_b,
+                          sign_a * fraction_squeezing(p_a, budget.n_a),
+                          sign_b * fraction_squeezing(p_b, budget.n_b))[idx]
+
+    baseline = value(0.0, 0.0, 1, 1)
+    best = (baseline, 0.0, 0.0, 1, 1)
+    for p_a, p_b, sign_a, sign_b, rates in _loop_cells(
+            params, budget.n_a, budget.n_b, _fractions(grid_n)):
+        if rates[idx] > best[0]:
+            best = (rates[idx], p_a, p_b, sign_a, sign_b)
+    _, p_a, p_b, sign_a, sign_b = best
+    step = 1.0 / (grid_n - 1)
+    while step > OPTIMIZE_TOL:
+        p_a, _ = golden_section_max(lambda x: value(x, p_b, sign_a, sign_b),
+                                    max(0.0, p_a - step), min(1.0, p_a + step), tol=step * 1e-3)
+        p_b, _ = golden_section_max(lambda x: value(p_a, x, sign_a, sign_b),
+                                    max(0.0, p_b - step), min(1.0, p_b + step), tol=step * 1e-3)
+        step /= 2.0
+    refined = value(p_a, p_b, sign_a, sign_b)
+    if refined < best[0]:
+        refined, p_a, p_b = best[0], best[1], best[2]
+    if refined < baseline:
+        refined, p_a, p_b, sign_a, sign_b = baseline, 0.0, 0.0, 1, 1
+    return OptimizeResult(objective, p_a, p_b, sign_a, sign_b, refined, baseline)
+
+
+def _random_case(rng):
+    """A channel and photon totals over the whole valid domain: eta at 0 or
+    1, pure loss, Alice silent, photon numbers from 1e-9 to 1e9."""
+    eta = lambda: rng.choice((0.0, 1.0, rng.random()))  # noqa: E731
+    params = ChannelParams(eta(), eta(), rng.choice((0.0, rng.uniform(0.0, 5.0))))
+    photons = lambda: 10.0 ** rng.uniform(-9.0, 9.0)  # noqa: E731
+    return params, rng.choice((0.0, photons())), photons()
+
+
+#: Photon totals where rate_triple raises: v_max / v_min beyond 2**53
+#: (ValueError) and exp overflow (OverflowError).
+RAISING_TOTALS = [(1e16, 1.0), (1.0, 1e16), (4.5e307, 1.0), (1.0, 4.5e307),
+                  (1e308, 1e308), (1.7e308, 1.7e308)]
+
+
+def test_rate_grid_matches_rate_triple():
+    rng = random.Random(20240902)
+    cases = [_random_case(rng) for _ in range(40)]
+    # The branch tie: coherent, nothing sent, so n == |V1 - V2| == 0.
+    cases.append((ChannelParams(0.5, 0.9, 1.0), 0.0, 0.0))
+    cases += [(ChannelParams(0.5, 0.9, 1.0), n_a, n_b) for n_a, n_b in RAISING_TOTALS]
+    raised = ties = 0
+    for params, n_a, n_b in cases:
+        budget = PhotonBudget(n_a, n_b)
+        p_values = _fractions(5)  # p = 1 is the last row and column
+        for sign_a, sign_b in SIGN_LAYERS:
+            r_a = [sign_a * fraction_squeezing(p, n_a) for p in p_values]
+            r_b = [sign_b * fraction_squeezing(p, n_b) for p in p_values]
+            args = (params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b)
+            got = _outcome(lambda: kernels.rate_grid(*args))
+            assert got == _outcome(lambda: _loop_grid(params, n_a, n_b, r_a, r_b))
+            raised += isinstance(got, type)
+            ties += not isinstance(got, type) and any(
+                c[1] == c[3] == c[5] == 1 and c[0] == "0x0.0p+0" for c in got)
+        assert _outcome(lambda: squeeze_surface(params, budget, grid_n=5).table) == \
+            _outcome(lambda: _loop_surface(params, budget, 5))
+        total = n_a + n_b
+        assert _outcome(lambda: [
+            (c.s, c.p_a, c.p_b, c.value)
+            for c in global_constraint_scan(params, total, s_points=5, fraction_points=5)
+            .best.values()
+        ]) == _outcome(lambda: list(_loop_scan(params, total, 5, 5).values()))
+        for objective in Objective:
+            assert _outcome(lambda: astuple(optimize_squeezing(params, budget, objective, 5))) == \
+                _outcome(lambda: astuple(_loop_optimize(params, budget, objective, 5)))
+    assert raised and ties
+
+
+def test_rate_grid_arbitrary_squeezing():
+    # Any row and column values, not only the fraction sweep's.
+    rng = random.Random(20240903)
+    for _ in range(40):
+        params, n_a, n_b = _random_case(rng)
+        r_a = [0.0] + [rng.uniform(-1.0, 1.0) * fraction_squeezing(1.0, n_a) for _ in range(4)]
+        r_b = [rng.uniform(-1.0, 1.0) * fraction_squeezing(1.0, n_b) for _ in range(3)]
+        args = (params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b)
+        assert _outcome(lambda: kernels.rate_grid(*args)) == \
+            _outcome(lambda: _loop_grid(params, n_a, n_b, r_a, r_b))
+    assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]) == []
+    assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [0.0, 0.1], []) == []
