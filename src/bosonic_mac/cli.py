@@ -344,7 +344,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 
 #: Largest --grid.  A surface holds 4 * grid**2 cells in memory; at 513
-#: the command peaks at about 475 MB with CSV output and 430 MB with JSON
+#: the command peaks at about 445 MB with CSV output and 395 MB with JSON
 #: (Python 3.11, 64-bit Linux).
 MAX_GRID = 513
 

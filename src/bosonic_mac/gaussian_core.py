@@ -39,6 +39,13 @@ def _require_squeezing(field: str, n: float, r: float) -> None:
         raise InputError(
             field, f"squeezing cost sinh({r})^2 exceeds the photon budget {n}"
         ) from None
+    # The receiver variances carry exp(2r) and exp(-2r).
+    try:
+        math.exp(2.0 * abs(r))
+    except OverflowError:
+        raise InputError(
+            field, f"exp(2 * |{r}|) overflows; |r| must be below about 354.89"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,12 @@ class SqueezeFractions:
         _require_photons("n_b", n_b)
         r_a = self.sign_a * fraction_squeezing(self.p_a, n_a)
         r_b = self.sign_b * fraction_squeezing(self.p_b, n_b)
-        return PhotonBudget(n_a, n_b, r_a, r_b)
+        try:
+            return PhotonBudget(n_a, n_b, r_a, r_b)
+        except InputError as exc:
+            # The squeezing parameters were given as these fractions.
+            field = {"r_a": "p_a", "r_b": "p_b"}.get(exc.field, exc.field)
+            raise InputError(field, exc.message) from None
 
 
 def fraction_squeezing(p: float, n: float) -> float:

@@ -111,15 +111,18 @@ def mode_transform(net: BeamsplitterNetwork) -> np.ndarray:
     t = sqrt(transmissivity), r = sqrt(1 - transmissivity) to its mode
     pair, in list order. The result is orthogonal.
     """
-    m = np.eye(net.num_modes)
+    n = net.num_modes
+    # Rows of Python floats: numpy costs more than the arithmetic on rows
+    # this short, and each element takes the same IEEE operations.
+    m = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for sp in net.splitters:
         t = math.sqrt(sp.transmissivity)
         r = math.sqrt(1.0 - sp.transmissivity)
-        row_a = m[sp.mode_a].copy()
-        row_b = m[sp.mode_b].copy()
-        m[sp.mode_a] = t * row_a + r * row_b
-        m[sp.mode_b] = -r * row_a + t * row_b
-    return m
+        row_a = m[sp.mode_a]
+        row_b = m[sp.mode_b]
+        m[sp.mode_a] = [t * a + r * b for a, b in zip(row_a, row_b)]
+        m[sp.mode_b] = [-r * a + t * b for a, b in zip(row_a, row_b)]
+    return np.array(m)
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,9 @@ def propagate(net: BeamsplitterNetwork, ensemble: ModeEnsemble) -> PropagationRe
             f"ensemble has {len(ensemble.covs)} modes, network expects {net.num_modes}"
         )
     m = mode_transform(net)
-    s = np.kron(m, np.eye(2))
+    s = np.zeros((2 * net.num_modes, 2 * net.num_modes))
+    s[0::2, 0::2] = m  # the block expansion kron(m, eye(2))
+    s[1::2, 1::2] = m
     mean_in = np.array([c for pair in ensemble.means for c in pair], dtype=float)
     cov_in = np.zeros((2 * net.num_modes, 2 * net.num_modes))
     for i, c in enumerate(ensemble.covs):

@@ -17,6 +17,15 @@ from .gaussian_core import ChannelParams, PhotonBudget, fraction_squeezing
 from .rates import Receiver, User, outer_bound, rate_bundle, receiver_rates
 
 #: Quadrature orientation layers evaluated by surfaces and optimizers.
+#:
+#: Flipping both signs is a pi/2 phase rotation of the receiver mode: it
+#: swaps V1 and V2 and leaves the received photons alone.  The rates read
+#: the variances only through V1 + V2, V1 * V2 and |V1 - V2|, so layer
+#: (-sign_a, -sign_b) equals layer (sign_a, sign_b).  The equality is exact
+#: in floating point: 2.0 * (-r) == -(2.0 * r), sinh is odd so sinh(r)**2
+#: keeps its bits, and the sum, product and absolute difference of the
+#: two variances are symmetric under the swap.  The last two layers mirror
+#: the first two and come after them.
 SIGN_LAYERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -98,14 +107,23 @@ def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, layers=SIGN_
     """For each (sign_a, sign_b) of ``layers``, yield sign_a, sign_b and the
     list of kernels.rate_grid over the squeezings that spend the fractions
     ``p_values`` of ``n_a`` (rows) and of ``n_b`` (columns): one rate
-    triple per (p_a, p_b) cell, in row-major order."""
+    triple per (p_a, p_b) cell, in row-major order.
+
+    A layer whose mirror (-sign_a, -sign_b) came earlier yields the
+    mirror's list, the same object, without a kernel call: the two are
+    equal bit for bit (see SIGN_LAYERS).  Callers must not mutate it.
+    """
     r_a = [fraction_squeezing(p, n_a) for p in p_values]
     r_b = [fraction_squeezing(p, n_b) for p in p_values]
+    unmirrored = {}
     for sign_a, sign_b in layers:
-        yield sign_a, sign_b, kernels.rate_grid(
-            params.eta1, params.eta2, params.n_thermal, n_a, n_b,
-            [sign_a * r for r in r_a], [sign_b * r for r in r_b],
-        )
+        cells = unmirrored.pop((-sign_a, -sign_b), None)
+        if cells is None:
+            cells = unmirrored[sign_a, sign_b] = kernels.rate_grid(
+                params.eta1, params.eta2, params.n_thermal, n_a, n_b,
+                [sign_a * r for r in r_a], [sign_b * r for r in r_b],
+            )
+        yield sign_a, sign_b, cells
 
 
 def _first_max(values):
@@ -154,8 +172,10 @@ def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 3
 
     Only the photon totals of ``budget`` are used; its squeezing
     parameters are replaced cell by cell.  The p = 0 row and column carry
-    the coherent baseline.  Each sign layer is one ``kernels.rate_grid``
-    call, whose rate columns go into the table as they are.
+    the coherent baseline.  Layers (1, 1) and (1, -1) are one
+    ``kernels.rate_grid`` call each, whose rate columns go into the table
+    as they are; layers (-1, 1) and (-1, -1) mirror them bit for bit (see
+    SIGN_LAYERS) and take the same rate triples.
     """
     p_values = _fractions(grid_n)
     p_a_column = [p_a for p_a in p_values for _ in p_values]
@@ -192,7 +212,10 @@ def optimize_squeezing(
     """Coarse grid then coordinate-wise golden-section refinement.
 
     The zero-squeezing baseline is always a candidate, so the result never
-    falls below it.
+    falls below it.  The coarse grid computes two of the four sign layers:
+    the other two mirror them bit for bit (see SIGN_LAYERS) and come
+    after them, so a mirrored layer never strictly improves on its twin
+    and the first maximum is the one a four-layer walk finds.
     """
     idx = {Objective.MAX_RA: 0, Objective.MAX_RB: 2, Objective.MAX_SUM: 4}[objective]
     p_values = _fractions(grid_n)

@@ -31,10 +31,14 @@ BAD_INPUTS = [
     (["rates", "--ra", "inf"], "ra"),
     (["rates", "--ra", "5"], "ra"),
     (["rates", "--ra", "1000"], "ra"),
+    (["rates", "--ra", "355", "--na", "1e308"], "ra"),
+    (["rates", "--rb", "-355", "--nb", "1e308"], "rb"),
+    (["rates", "--pa", "1", "--na", "1.7e308"], "pa"),
     (["rates", "--pa", "nan"], "pa"),
     (["rates", "--pa", "0.5", "--na", "-1"], "na"),
     (["region", "--encoding", "nan,0"], "encoding"),
     (["region", "--encoding", "5,0"], "encoding"),
+    (["region", "--na", "1e308", "--encoding=355,0"], "encoding"),
     (["asymptotics", "--lemma", "1", "--kappa", "5"], "kappa"),
     (["asymptotics", "--eta1", "0"], "eta1"),
     (["asymptotics", "--eta1", "1e-20"], "eta1"),

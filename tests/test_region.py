@@ -27,6 +27,7 @@ from bosonic_mac.region import (
     SIGN_LAYERS,
     OptimizeResult,
     _fractions,
+    _sweep,
     convex_hull,
 )
 
@@ -412,3 +413,49 @@ def test_rate_grid_arbitrary_squeezing():
             _outcome(lambda: _loop_grid(params, n_a, n_b, r_a, r_b))
     assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]) == []
     assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [0.0, 0.1], []) == []
+
+
+def test_mirrored_layers_are_bit_identical():
+    # Flipping both signs swaps V1 and V2, which no rate can see.
+    rng = random.Random(20240904)
+    cases = [_random_case(rng) for _ in range(40)]
+    cases.append((ChannelParams(0.5, 0.9, 1.0), 0.0, 0.0))  # the branch tie
+    cases += [(ChannelParams(0.5, 0.9, 1.0), n_a, n_b) for n_a, n_b in RAISING_TOTALS]
+    raised = 0
+    for params, n_a, n_b in cases:
+        sweep = [[fraction_squeezing(p, n) for p in _fractions(5)] for n in (n_a, n_b)]
+        arbitrary = [[rng.uniform(-1.0, 1.0) * fraction_squeezing(1.0, n) for _ in range(3)]
+                     for n in (n_a, n_b)]
+        for r_a, r_b in (sweep, arbitrary, (sweep[0], [-r for r in sweep[1]])):
+            def grid(sign):
+                return kernels.rate_grid(params.eta1, params.eta2, params.n_thermal, n_a, n_b,
+                                         [sign * r for r in r_a], [sign * r for r in r_b])
+            got = _outcome(lambda: grid(-1))
+            assert got == _outcome(lambda: grid(1))
+            raised += isinstance(got, type)
+    assert raised
+
+
+def test_sweep_computes_each_mirror_pair_once(monkeypatch):
+    seen = []
+    real = kernels.rate_grid
+
+    def counting(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "rate_grid", counting)
+    params, budget, p_values = ChannelParams(0.2, 0.9, 4.0), PhotonBudget(4.0, 8.0), _fractions(3)
+    for layers, calls in ((SIGN_LAYERS, 2), (((1, 1),), 1)):
+        seen.clear()
+        walked = list(_sweep(params, budget.n_a, budget.n_b, p_values, layers))
+        assert len(seen) == calls
+        assert [layer[:2] for layer in walked] == list(layers)
+        for sign_a, sign_b, cells in walked:
+            r_a = [sign_a * fraction_squeezing(p, budget.n_a) for p in p_values]
+            r_b = [sign_b * fraction_squeezing(p, budget.n_b) for p in p_values]
+            assert _bits(cells) == _bits(_loop_grid(params, budget.n_a, budget.n_b, r_a, r_b))
+    seen.clear()
+    squeeze_surface(params, budget, grid_n=3)
+    optimize_squeezing(params, budget, Objective.MAX_RA, grid_n=3)
+    assert len(seen) == 4
