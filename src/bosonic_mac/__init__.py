@@ -9,6 +9,8 @@ use numpy.  The package serves the network names through a module
 ``import bosonic_mac`` does not load numpy.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._kernels import BACKEND
 from .asymptotics import (
     CaseThreeConfig,
@@ -81,24 +83,11 @@ _NETWORK_NAMES = (
     "propagate",
 )
 
+#: Every public name imported above, then the network names.
 __all__ = [
-    "BACKEND",
-    "CaseThreeConfig", "LimitProbe", "high_power_heterodyne_probe",
-    "high_power_heterodyne_ratio", "homodyne_asymptotic_ratio", "homodyne_half_probe",
-    "low_power_alice_first_probe", "low_power_bob_first_probe",
-    "low_power_simultaneous_probes", "max_bob_scale_branch1", "receiver_gap_probes",
-    "ChannelParams", "CovMatrix2", "InputError", "PhotonBudget", "SqueezeFractions",
-    "g_entropy", "input_covariances", "received_photons", "receiver_covariance",
-    "squeezing_cost",
-    *_NETWORK_NAMES,
-    "Branch", "RateBundle", "Receiver", "User", "big_g11", "big_g12", "big_g2",
-    "heterodyne_sum_rate", "homodyne_sum_rate", "individual_rate", "outer_bound",
-    "point_to_point", "rate_bundle", "receiver_individual_rates", "sum_rate",
-    "sum_rate_capacity_coherent",
-    "Objective", "Pentagon", "RatePoint", "RateRegion", "SqueezeSurface",
-    "build_region", "global_constraint_scan", "optimize_squeezing", "pentagon_at",
-    "squeeze_surface",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_NETWORK_NAMES)
 
 
 def __getattr__(name):

@@ -82,18 +82,40 @@ def big_g11_raw(n, v1, v2):
     return g_entropy(v1 + v2 + n - 0.5)
 
 
+#: V_max over V_min + n beyond which the factored branch-2 argument has
+#: lost about half its digits to cancellation.
+_G12_REDUCE_RATIO = 2.0**26
+
+
+def _g12_reduced_arg(n, v1, v2):
+    """The branch-2 argument in reduced form 2 sqrt((V_min + n) V_max) - 1/2."""
+    lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
+    return 2.0 * math.sqrt((lo + n) * hi) - 0.5
+
+
 def _g12_arg(n, v1, v2):
     # Difference of squares factored exactly; avoids cancellation when n
     # dwarfs the variances.  Both factors are positive because
-    # (v1+v2)/2 exceeds |v1-v2|/2 for positive variances.
+    # (v1+v2)/2 exceeds |v1-v2|/2 for positive variances.  The low factor
+    # is V_min + n formed as (V_max + V_min)/2 + n - (V_max - V_min)/2, so
+    # it cancels once V_max dwarfs V_min + n, and in the lossless corner
+    # it loses the exact 0 of a pure state: there the reduced form holds.
     half_sum = 0.5 * (v1 + v2)
     s = abs(0.5 * (v1 - v2))
-    inner = (half_sum + n - s) * (half_sum + s)
-    return 2.0 * math.sqrt(inner) - 0.5
+    low = half_sum + n - s
+    high = half_sum + s
+    arg = 2.0 * math.sqrt(low * high) - 0.5
+    if arg < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+        return _g12_reduced_arg(n, v1, v2)
+    return arg
 
 
 def big_g12_raw(n, v1, v2):
     return g_entropy(_g12_arg(n, v1, v2))
+
+
+def big_g12_simplified_raw(n, v1, v2):
+    return g_entropy(_g12_reduced_arg(n, v1, v2))
 
 
 def big_g2_raw(v1, v2):

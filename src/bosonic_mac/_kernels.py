@@ -10,6 +10,7 @@ from ._core_py import (
     BACKEND,
     big_g11_raw,
     big_g12_raw,
+    big_g12_simplified_raw,
     big_g2_raw,
     displacement_photons,
     g_entropy,

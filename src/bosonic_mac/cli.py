@@ -9,11 +9,12 @@ and choice check.  A config file may hold any key of ``OPTIONS``; a
 subcommand ignores the keys it does not read, so one file serves all.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
-info, debug).  Exit codes: 0 success, 2 bad input (the message names
-the flag), 3 I/O failure, 4 verification failure (its reason is logged
-as an error, so it shows at every level); any other exception
-is a bug and surfaces as a traceback.  Identical configuration and seed
-give byte-identical output.
+info, debug).  A subcommand returns its text and the reason for a
+verification failure, or None; ``main`` alone writes the text and decides
+every exit code: 0 success, 2 bad input (the message names the flag), 3
+I/O failure, 4 verification failure (its reason is logged as an error, so
+it shows at every level).  Any other exception is a bug and surfaces as
+a traceback.  Identical configuration and seed give byte-identical output.
 """
 
 import argparse
@@ -293,7 +294,7 @@ def _pentagon_dict(pent: region.Pentagon) -> dict:
 RECEIVER_FIELDS = ("alice", "bob", "sum")
 
 
-def cmd_rates(opts: dict) -> int:
+def cmd_rates(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     bundle = rate_bundle(params, budget)
@@ -316,18 +317,15 @@ def cmd_rates(opts: dict) -> int:
         "coherent_sum_capacity": sum_rate_capacity_coherent(params, budget),
         "receivers": receivers,
     }
-    if opts["format"] == "csv":
-        # An undefined receiver keeps its columns, empty, so every input
-        # gives the same header.
-        record["receivers"] = {
-            name: block or dict.fromkeys(RECEIVER_FIELDS, "") for name, block in receivers.items()
-        }
-        flat = _flatten(record)
-        text = dumps_csv(list(flat.keys()), [list(flat.values())])
-    else:
-        text = dumps_json(record)
-    write_output(text, opts["out"])
-    return 0
+    if opts["format"] != "csv":
+        return dumps_json(record), None
+    # An undefined receiver keeps its columns, empty, so every input gives
+    # the same header.
+    record["receivers"] = {
+        name: block or dict.fromkeys(RECEIVER_FIELDS, "") for name, block in receivers.items()
+    }
+    flat = _flatten(record)
+    return dumps_csv(list(flat.keys()), [list(flat.values())]), None
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -353,26 +351,22 @@ MAX_GRID = 513
 MAX_DRAWS = 10_000
 
 
-
-def cmd_surface(opts: dict) -> int:
+def cmd_surface(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     grid = grid_from(opts)
     surface = region.squeeze_surface(params, budget, grid_n=grid)
     rows = surface.rows()
     log.info("surface grid %dx%d over %d sign layers", grid, grid, len(region.SIGN_LAYERS))
-    if opts["format"] == "json":
-        text = dumps_json({
-            "channel": asdict(params),
-            "budget": {"n_a": budget.n_a, "n_b": budget.n_b},
-            "grid": grid,
-            "columns": list(SURFACE_COLUMNS),
-            "rows": rows,
-        })
-    else:
-        text = dumps_csv(SURFACE_COLUMNS, rows)
-    write_output(text, opts["out"])
-    return 0
+    if opts["format"] != "json":
+        return dumps_csv(SURFACE_COLUMNS, rows), None
+    return dumps_json({
+        "channel": asdict(params),
+        "budget": {"n_a": budget.n_a, "n_b": budget.n_b},
+        "grid": grid,
+        "columns": list(SURFACE_COLUMNS),
+        "rows": rows,
+    }), None
 
 
 def _parse_encodings(raw):
@@ -397,7 +391,7 @@ def _parse_encodings(raw):
     return pairs
 
 
-def cmd_region(opts: dict) -> int:
+def cmd_region(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     encodings = _parse_encodings(opts["encodings"])
@@ -432,15 +426,12 @@ def cmd_region(opts: dict) -> int:
             ],
         },
     }
-    if opts["format"] == "csv":
-        rows = []
-        for name, vertices in _region_curves(doc):
-            rows.extend((name, i, v[0], v[1]) for i, v in enumerate(vertices))
-        text = dumps_csv(("dataset", "vertex", "r_a", "r_b"), rows)
-    else:
-        text = dumps_json(doc)
-    write_output(text, opts["out"])
-    return 0
+    if opts["format"] != "csv":
+        return dumps_json(doc), None
+    rows = []
+    for name, vertices in _region_curves(doc):
+        rows.extend((name, i, v[0], v[1]) for i, v in enumerate(vertices))
+    return dumps_csv(("dataset", "vertex", "r_a", "r_b"), rows), None
 
 
 def _region_curves(doc: dict):
@@ -452,7 +443,7 @@ def _region_curves(doc: dict):
             yield name, doc[name]["vertices"]
 
 
-def cmd_asymptotics(opts: dict) -> int:
+def cmd_asymptotics(opts: dict) -> tuple:
     params = channel_from(opts)
     which = opts["lemma"]
     given = {"kappa": opts["kappa"], "p_a": opts["pa"]}
@@ -475,21 +466,16 @@ def cmd_asymptotics(opts: dict) -> int:
     if which == "receiver-gap" or (which == "all" and params.n_thermal > 0.0):
         probes.extend(asymptotics.receiver_gap_probes(params))
 
-    all_converged = all(p.converged for p in probes)
+    diverged = [p.name for p in probes if not p.converged]
     report = {
         "channel": asdict(params),
         "probes": [p.to_dict() for p in probes],
-        "all_converged": all_converged,
+        "all_converged": not diverged,
     }
-    write_output(dumps_json(report), opts["out"])
-    if not all_converged:
-        diverged = [p.name for p in probes if not p.converged]
-        log.error("diverged probes: %s", ", ".join(diverged))
-        return 4
-    return 0
+    return dumps_json(report), (f"diverged probes: {', '.join(diverged)}" if diverged else None)
 
 
-def cmd_optimize(opts: dict) -> int:
+def cmd_optimize(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     objective = region.Objective(opts["objective"])
@@ -507,11 +493,10 @@ def cmd_optimize(opts: dict) -> int:
         "coherent_baseline": result.baseline,
         "advantage": result.value - result.baseline,
     }
-    write_output(dumps_json(report), opts["out"])
-    return 0
+    return dumps_json(report), None
 
 
-def cmd_verify(opts: dict) -> int:
+def cmd_verify(opts: dict) -> tuple:
     seed, draws, tolerance = opts["seed"], opts["draws"], opts["tolerance"]
     _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
     _require(1 <= draws <= MAX_DRAWS, "draws", f"must be in [1, {MAX_DRAWS}], got {draws}")
@@ -520,6 +505,7 @@ def cmd_verify(opts: dict) -> int:
     from . import verification  # numpy; the other subcommands start without it
 
     results = verification.run_all(seed, draws, tolerance)
+    failing = [r.name for r in results if not r.passed]
     report = {
         "seed": seed,
         "draws": draws,
@@ -528,14 +514,9 @@ def cmd_verify(opts: dict) -> int:
             {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": not failing,
     }
-    write_output(dumps_json(report), opts["out"])
-    if not report["all_passed"]:
-        failing = ", ".join(r.name for r in results if not r.passed)
-        log.error("failed checks: %s", failing)
-        return 4
-    return 0
+    return dumps_json(report), (f"failed checks: {', '.join(failing)}" if failing else None)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +613,19 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_values(argv))
     try:
-        return COMMANDS[args.command][0](options_for(args))
+        opts = options_for(args)
+        text, failure = COMMANDS[args.command][0](opts)
+        write_output(text, opts["out"])
     except InputError as exc:
         print(f"error: {FLAGS.get(exc.field, exc.field)}: {exc.message}", file=sys.stderr)
         return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if failure is None:
+        return 0
+    log.error("%s", failure)
+    return 4
 
 
 def run() -> None:

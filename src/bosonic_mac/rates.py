@@ -59,8 +59,8 @@ def big_g11(n: float, v: CovMatrix2) -> float:
 def big_g12(n: float, v: CovMatrix2) -> float:
     """Low-signal counterpart of :func:`big_g11`.
 
-    The bracket is evaluated in exactly factored form;
-    :func:`big_g12_simplified` is the same quantity in reduced form.
+    The bracket is evaluated in exactly factored form, or in the reduced
+    form of :func:`big_g12_simplified` where the factored one cancels.
     """
     if n < 0.0:
         raise ValueError(f"received photon number must be >= 0, got {n}")
@@ -71,8 +71,7 @@ def big_g12(n: float, v: CovMatrix2) -> float:
 def big_g12_simplified(n: float, v: CovMatrix2) -> float:
     """Reduced form g(2 sqrt(Vmax (n + Vmin)) - 1/2)."""
     _require_diagonal(v)
-    hi, lo = (v.v11, v.v22) if v.v11 >= v.v22 else (v.v22, v.v11)
-    return kernels.g_entropy(2.0 * (hi * (n + lo)) ** 0.5 - 0.5)
+    return kernels.big_g12_simplified_raw(n, v.v11, v.v22)
 
 
 def big_g2(v: CovMatrix2) -> float:

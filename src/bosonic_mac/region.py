@@ -249,8 +249,6 @@ def optimize_squeezing(
     refined = value(p_a, p_b, sign_a, sign_b)
     if refined < best[0]:
         refined, p_a, p_b = best[0], best[1], best[2]
-    if refined < baseline:
-        refined, p_a, p_b, sign_a, sign_b = baseline, 0.0, 0.0, 1, 1
     return OptimizeResult(objective, p_a, p_b, sign_a, sign_b, refined, baseline)
 
 

@@ -66,6 +66,25 @@ def test_bad_input_names_flag(argv, flag, capsys):
     assert err.startswith(f"error: {flag}: ")
 
 
+# Finite inputs where the factored branch-2 argument cancels: Alice
+# squeezes 1e16 photons, or the lossless corner holds a pure state.
+GOOD_EXTREME_INPUTS = [
+    ["rates", "--pa", "1", "--na", "1e16"],
+    ["surface", "--na", "1e16", "--grid", "2"],
+    ["optimize", "--na", "1e16"],
+    ["surface", "--eta1", "1", "--eta2", "1", "--na", "100"],
+    ["optimize", "--eta1", "1", "--eta2", "1", "--na", "1000"],
+    ["rates", "--eta1", "1", "--eta2", "1", "--na", "1000", "--pa", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", GOOD_EXTREME_INPUTS, ids=" ".join)
+def test_extreme_finite_input_exits_0(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out
+
+
 # Flags a subcommand does not read, and a bad value in a config file.
 UNREAD_FLAGS = [
     (["verify", "--eta1", "nan"], None, "eta1"),
@@ -245,6 +264,49 @@ def test_surface_bytes_are_pinned(fmt, capsys):
     code, out, _ = run(SURFACE_9 + ["--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SURFACE_9_SHA256[fmt]
+
+
+CHANNEL = ["--eta1", "0.3", "--eta2", "0.85", "--nt", "0.5"]
+BUDGET = ["--na", "2.5", "--nb", "7"]
+ENCODINGS = ["--encoding", "0,0", "--encoding", "0.3,-0.2"]
+
+#: (argv, sha256 of stdout, exit code, last stderr line) of one command per
+#: subcommand, format and exit path.
+COMMAND_PINS = [
+    (["rates", *CHANNEL, *BUDGET, "--ra", "0.2", "--rb", "-0.3"],
+     "1c638ba2f1a3ad34e08a3fdd481c8e2f1b2d0a8d299893f8b3701c5a86f83b8e", 0, ""),
+    (["rates", *CHANNEL, *BUDGET, "--pa", "0.3", "--pb", "0.6", "--format", "csv"],
+     "8dd43c58d0e52a6719ddb4f75a1475d377ef4a32f07b12dfdcd2dc7c9c759595", 0, ""),
+    (["region", *CHANNEL, *BUDGET, *ENCODINGS],
+     "5a797d1ce0ba3962bf01e4517a7e614bd75e49660f8cb14bfd5ed46e2559705e", 0, ""),
+    (["region", *CHANNEL, *BUDGET, *ENCODINGS, "--format", "csv"],
+     "3958cb4629d6ae8728caf6f3234ca88e4ea9df35b19c29896b9969fbfed9cd77", 0, ""),
+    (["asymptotics", *CHANNEL, "--lemma", "2"],
+     "b0ccca5664b2315fa3ee65554db0c59aff55e9ea4eead578aa319c0c34acbc8a", 0, ""),
+    (["asymptotics", *CHANNEL],
+     "5ae5b06b9bd658bcabbf9593229bfd868191ccdfe2e91acec2445b9c92430f0d", 4,
+     "ERROR diverged probes: high-power-heterodyne, receiver-gap-heterodyne, "
+     "receiver-gap-homodyne"),
+    (["optimize", *CHANNEL, *BUDGET, "--grid", "9", "--objective", "max-ra"],
+     "607f51f6e40f334b1096fe7b41f791cc388fab5f9163e282d80cd641197e8542", 0, ""),
+    (["optimize", *CHANNEL, *BUDGET, "--grid", "9", "--objective", "max-rb"],
+     "16f87ac88c27c6f864adf2d93d804b4610f1d704f55115bd74119c272db3f3c7", 0, ""),
+    (["optimize", *CHANNEL, *BUDGET, "--grid", "9", "--objective", "max-sum"],
+     "5abc696a23d8b275d9f97d32e9286eca59cb6f24d897263b96030bdc980cafdb", 0, ""),
+    (["verify", "--draws", "10", "--seed", "7"],
+     "d0c6f550ae26b857be17aa5091b4ee53623faa9c1f20cf16c946c5086989387f", 0, ""),
+    (["verify", "--draws", "10", "--seed", "7", "--tolerance", "0"],
+     "61ed85b6034cf2decfb06e561648d0ca946894a1f86c7cec9984af3de2b3de9e", 4,
+     "ERROR failed checks: covariance-oracle, mc-heterodyne, piecewise-continuity"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256,code,last_err", COMMAND_PINS,
+                         ids=[" ".join(argv) for argv, *_ in COMMAND_PINS])
+def test_command_bytes_are_pinned(argv, sha256, code, last_err, capsys):
+    got_code, out, err = run(argv, capsys)
+    assert (got_code, err.splitlines()[-1] if err else "") == (code, last_err)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 class TestRates:

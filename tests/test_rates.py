@@ -13,6 +13,7 @@ from bosonic_mac import (
     CovMatrix2,
     PhotonBudget,
     Receiver,
+    SqueezeFractions,
     User,
     big_g11,
     big_g12,
@@ -184,6 +185,52 @@ class TestKernelContract:
         got = _kernels.rate_triple(*args)
         assert got[1::2] == expected[1::2]
         assert [x.hex() for x in got[0::2]] == list(expected[0::2])
+
+
+def mp_rates(v1, v2, nca, ncb):
+    """(rate, branch) of Alice, Bob and the sum for float receiver variances
+    and received photon numbers, at 60 digits: the piecewise rule with the
+    branch-2 bracket in its literal nested form."""
+    with mp.workdps(60):
+        v1, v2, nca, ncb = map(mpf, (v1, v2, nca, ncb))
+        half = mpf(1) / 2
+        g2 = mp_g(max(2 * mpsqrt(v1 * v2) - half, 0))
+        out = []
+        for n in (nca, ncb, nca + ncb):
+            if n >= abs(v1 - v2):
+                arg, branch = v1 + v2 + n - half, 1
+            else:
+                inner = ((v1 + v2 + n) / 2) ** 2 - (abs(v1 - v2) / 2 - n / 2) ** 2
+                arg, branch = 2 * mpsqrt(inner) - half, 2
+            out += [float(max(mp_g(max(arg, 0)) - g2, 0)), branch]
+        return tuple(out)
+
+
+#: Branch-2 inputs whose factored argument cancels, as
+#: (eta1, eta2, n_thermal, n_a, n_b, p_a): V_max dwarfs V_min + n when Alice
+#: squeezes 1e12 or 1e16 photons, and the lossless corner holds a pure state.
+CANCELLING = [
+    (0.5, 0.9, 1.0, 1e16, 1.0, 0.99),  # rates --na 1e16 --pa 0.99
+    (0.5, 0.9, 1.0, 1e16, 1.0, 1.0),  # rates --pa 1 --na 1e16
+    (0.5, 0.9, 1.0, 1e12, 1.0, 0.999),
+    (0.5, 0.9, 1.0, 1e8, 1.0, 0.99),
+    (1.0, 1.0, 1.0, 1000.0, 1.0, 0.5),  # rates --eta1 1 --eta2 1 --na 1000 --pa 0.5
+    (1.0, 1.0, 1.0, 100.0, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("args", CANCELLING, ids=[str(a) for a in CANCELLING])
+def test_branch_two_rates_where_the_factored_argument_cancels(args):
+    eta1, eta2, nt, n_a, n_b, p_a = args
+    budget = SqueezeFractions(p_a, 0.0).budget_for(n_a, n_b)
+    squeezing = (budget.r_a, budget.r_b)
+    v1, v2 = _kernels.receiver_variances(eta1, eta2, nt, *squeezing)
+    nca, ncb = _kernels.received_photon_pair(eta1, eta2, n_a, n_b, *squeezing)
+    got = _kernels.rate_triple(eta1, eta2, nt, n_a, n_b, *squeezing)
+    want = mp_rates(v1, v2, nca, ncb)
+    assert got[1::2] == want[1::2]
+    assert 2 in got[1::2]
+    assert got[0::2] == pytest.approx(want[0::2], rel=1e-12, abs=1e-10)
 
 
 class TestJointDetectionRates:

@@ -362,8 +362,9 @@ def _random_case(rng):
     return params, rng.choice((0.0, photons())), photons()
 
 
-#: Photon totals where rate_triple raises: v_max / v_min beyond 2**53
-#: (ValueError) and exp overflow (OverflowError).
+#: Photon totals at the edge of the float range: v_max / v_min beyond
+#: 2**53, where the branch-2 argument takes its reduced form, and exp
+#: overflow, where rate_triple raises (OverflowError).
 RAISING_TOTALS = [(1e16, 1.0), (1.0, 1e16), (4.5e307, 1.0), (1.0, 4.5e307),
                   (1e308, 1e308), (1.7e308, 1.7e308)]
 
