@@ -19,10 +19,18 @@ Conventions used throughout:
 squeezing parameters: it computes the exp and sinh terms of each row and
 each column once, and every cell then adds them in the association
 ``receiver_variances`` uses, so each cell equals ``rate_triple`` bit for
-bit.
+bit.  Both evaluate a cell's rates with ``_triple``, which calls only
+math functions on the common path.  ``rate_columns`` gives the same grid
+as three rate columns without the branch flags, for the squeeze sweeps:
+it writes ``_triple`` out in its cell loop, the same operations in the
+same order, so these two bodies hold the piecewise rule, and the tests
+pin each to the other and to its pieces.  The pieces ``big_g2_raw``,
+``big_g11_raw`` and ``big_g12_raw`` evaluate the rule's terms one at a
+time, for the continuity check and the tests, with the same bits.
 """
 
 import math
+from math import log1p, sqrt
 
 BACKEND = "python"
 
@@ -123,28 +131,53 @@ def big_g2_raw(v1, v2):
     return g_entropy(2.0 * math.sqrt(det) - 0.5)
 
 
-def _piecewise(n, v1, v2, g2):
-    """Holevo-limit rate for ``n`` received signal photons, with its branch.
-
-    Branch 1 means the received signal covers the variance asymmetry
-    |V1 - V2|, branch 2 the opposite.  Ties go to branch 1; the two
-    branches agree there.
-    """
-    if n >= abs(v1 - v2):
-        rate = big_g11_raw(n, v1, v2) - g2
-        branch = 1
-    else:
-        rate = big_g12_raw(n, v1, v2) - g2
-        branch = 2
-    return (rate if rate > 0.0 else 0.0), branch
-
-
 def _triple(v1, v2, nca, ncb):
-    g2 = big_g2_raw(v1, v2)
-    ra, br_a = _piecewise(nca, v1, v2, g2)
-    rb, br_b = _piecewise(ncb, v1, v2, g2)
-    rab, br_ab = _piecewise(nca + ncb, v1, v2, g2)
-    return ra, br_a, rb, br_b, rab, br_ab
+    """Holevo-limit rates of Alice's ``nca``, Bob's ``ncb`` and their sum
+    of received signal photons on a receiver mode with variances (V1, V2),
+    as ``(r_a, branch_a, r_b, branch_b, r_ab, branch_ab)``.
+
+    Each rate is g(arg) - g2, clamped at 0, with g2 = g(2 sqrt(V1 V2) - 1/2).
+    Branch 1 means the received signal n covers the variance asymmetry
+    |V1 - V2| and takes arg = V1 + V2 + n - 1/2; branch 2, the opposite,
+    takes the factored argument of ``_g12_arg``.  Ties go to branch 1; the
+    two branches agree there.  This body forms the terms shared by the
+    three rates once and writes ``g_entropy`` out inline, in the same
+    operations as ``big_g2_raw``, ``big_g11_raw`` and ``big_g12_raw``, so
+    each rate has their bits and raises their error.  ``rate_columns``
+    repeats it cell by cell for the sweeps.
+    """
+    x = 2.0 * sqrt(v1 * v2) - 0.5
+    if x < 1e-300:
+        if x < -_NEG_TOL:
+            raise ValueError(f"mean photon number must be >= 0, got {x}")
+        g2 = 0.0
+    else:
+        g2 = (log1p(x) + x * log1p(1.0 / x)) / _LN2
+    v_sum = v1 + v2
+    diff = abs(v1 - v2)
+    half_sum = 0.5 * v_sum
+    s = 0.5 * diff  # == abs(0.5 * (v1 - v2)): rounding is odd-symmetric
+    high = half_sum + s
+    out = []
+    for n in (nca, ncb, nca + ncb):
+        if n >= diff:
+            x = v_sum + n - 0.5
+            branch = 1
+        else:
+            low = half_sum + n - s
+            x = 2.0 * sqrt(low * high) - 0.5
+            if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                x = _g12_reduced_arg(n, v1, v2)
+            branch = 2
+        if x < 1e-300:
+            if x < -_NEG_TOL:
+                raise ValueError(f"mean photon number must be >= 0, got {x}")
+            # g(x) = 0 and g2 >= 0 (or nan), so the clamped rate is 0.
+            out += (0.0, branch)
+        else:
+            rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+            out += (rate if rate > 0.0 else 0.0, branch)
+    return tuple(out)
 
 
 def rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
@@ -188,6 +221,114 @@ def rate_grid(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
             columns.append((b1, b2, ncb))
             cells.append(_triple(0.25 * (a1 + b1 + t), 0.25 * (a2 + b2 + t), nca, ncb))
     return cells
+
+
+def _negative_photon_error(x):
+    return ValueError(f"mean photon number must be >= 0, got {x}")
+
+
+def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
+    """The three rate columns of ``rate_grid``, without its branch flags:
+    lists ``(r_max_a, r_max_b, r_max_ab)`` in row-major order, each value
+    bit for bit ``rate_grid``'s, and an input error of the same type from
+    the same cell.
+
+    The squeeze sweeps keep only rates, so this is ``rate_grid`` with
+    ``_triple`` written out in the cell loop: the same operations in the
+    same order, unrolled over the three signal photon numbers, with no
+    call and no tuple per cell.  ``tests/test_kernels.py`` pins it to
+    ``rate_grid`` by ``float.hex``.
+    """
+    t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
+    wa = eta1 * eta2
+    wb = (1.0 - eta1) * eta2
+    columns = []
+    out_a, out_b, out_ab = [], [], []
+    put_a, put_b, put_ab = out_a.append, out_b.append, out_ab.append
+    for r_a in r_a_values:
+        a1 = wa * math.exp(2.0 * r_a)
+        a2 = wa * math.exp(-2.0 * r_a)
+        nca = wa * displacement_photons(n_a, r_a)
+        if columns:
+            cells = columns
+        else:
+            # The first row forms each column's terms as its cell comes up.
+            cells = _first_row_columns(wb, n_b, r_b_values, columns)
+        for b1, b2, ncb in cells:
+            v1 = 0.25 * (a1 + b1 + t)
+            v2 = 0.25 * (a2 + b2 + t)
+            x = 2.0 * sqrt(v1 * v2) - 0.5
+            if x < 1e-300:
+                if x < -_NEG_TOL:
+                    raise _negative_photon_error(x)
+                g2 = 0.0
+            else:
+                g2 = (log1p(x) + x * log1p(1.0 / x)) / _LN2
+            v_sum = v1 + v2
+            diff = abs(v1 - v2)
+            half_sum = 0.5 * v_sum
+            s = 0.5 * diff
+            high = half_sum + s
+
+            n = nca
+            if n >= diff:
+                x = v_sum + n - 0.5
+            else:
+                low = half_sum + n - s
+                x = 2.0 * sqrt(low * high) - 0.5
+                if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                    x = _g12_reduced_arg(n, v1, v2)
+            if x < 1e-300:
+                if x < -_NEG_TOL:
+                    raise _negative_photon_error(x)
+                put_a(0.0)
+            else:
+                rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+                put_a(rate if rate > 0.0 else 0.0)
+
+            n = ncb
+            if n >= diff:
+                x = v_sum + n - 0.5
+            else:
+                low = half_sum + n - s
+                x = 2.0 * sqrt(low * high) - 0.5
+                if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                    x = _g12_reduced_arg(n, v1, v2)
+            if x < 1e-300:
+                if x < -_NEG_TOL:
+                    raise _negative_photon_error(x)
+                put_b(0.0)
+            else:
+                rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+                put_b(rate if rate > 0.0 else 0.0)
+
+            n = nca + ncb
+            if n >= diff:
+                x = v_sum + n - 0.5
+            else:
+                low = half_sum + n - s
+                x = 2.0 * sqrt(low * high) - 0.5
+                if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                    x = _g12_reduced_arg(n, v1, v2)
+            if x < 1e-300:
+                if x < -_NEG_TOL:
+                    raise _negative_photon_error(x)
+                put_ab(0.0)
+            else:
+                rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+                put_ab(rate if rate > 0.0 else 0.0)
+    return out_a, out_b, out_ab
+
+
+def _first_row_columns(wb, n_b, r_b_values, columns):
+    """Yield the column terms (b1, b2, ncb) of each r_b in turn, appending
+    each to ``columns`` before its cell runs, as ``rate_grid``'s first row
+    forms them."""
+    for r_b in r_b_values:
+        term = (wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
+                wb * displacement_photons(n_b, r_b))
+        columns.append(term)
+        yield term
 
 
 def point_to_point_raw(x, y):

@@ -17,6 +17,7 @@ from ._core_py import (
     heterodyne_rate_raw,
     homodyne_rate_raw,
     point_to_point_raw,
+    rate_columns,
     rate_grid,
     rate_triple,
     received_photon_pair,

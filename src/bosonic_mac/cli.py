@@ -27,7 +27,13 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from . import asymptotics, region
-from .gaussian_core import ChannelParams, InputError, PhotonBudget, SqueezeFractions
+from .gaussian_core import (
+    ChannelParams,
+    InputError,
+    PhotonBudget,
+    SqueezeFractions,
+    require_full_squeeze,
+)
 from .rates import (
     Receiver,
     User,
@@ -82,6 +88,41 @@ def _number_row(row, sep: str):
     return None if "n" in text else text
 
 
+def _surface_blocks(surface, sep: str, row_sep: str, start: str, end: str) -> list:
+    """The long-format rows of ``surface`` as text, one block per grid row
+    of each layer in output order.  Each row is ``start``, its six values
+    joined by ``sep``, then ``end``; rows are joined by ``row_sep``.
+
+    The text equals one ``_number_row`` per row, but each p value is
+    formatted once, and the rate pairs of a mirrored layer's shared columns
+    (see region.SIGN_LAYERS) once for both layers.  Raises CliError for
+    the first inf or nan in output order.
+    """
+    g = surface.grid_n
+    p_text = ["%.17g" % p for p in surface.p_values]
+    pair_template = f"%.17g{sep}%.17g{end}"
+    pairs = {}  # id of an r_max_a column -> its rows' formatted rate pairs
+    blocks = []
+    items = [None] * (3 * g)  # per row: separator and p_a, p_b and signs, rate pair
+    for sign_a, sign_b, ra, rb in surface.layers:
+        if id(ra) not in pairs:
+            pairs[id(ra)] = [pair_template % pair for pair in zip(ra, rb)]
+        texts = pairs[id(ra)]
+        items[1::3] = [f"{sep}{p}{sep}{sign_a:d}{sep}{sign_b:d}{sep}" for p in p_text]
+        for i, p in enumerate(p_text):
+            items[0::3] = [row_sep + start + p] * g
+            items[2::3] = texts[i * g:(i + 1) * g]
+            block = "".join(items)
+            # "n" is in inf and nan only, so a clean block needs no check.
+            if "n" in block:
+                for k in range(i * g, (i + 1) * g):
+                    _fmt_float(ra[k])
+                    _fmt_float(rb[k])
+            blocks.append(block)
+    blocks[0] = blocks[0][len(row_sep):]
+    return blocks
+
+
 def _json_write(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -104,6 +145,10 @@ def _json_write(obj, out: list) -> None:
             out.append(": ")
             _json_write(v, out)
         out.append("}")
+    elif isinstance(obj, region.SqueezeSurface):
+        out.append("[")
+        out.extend(_surface_blocks(obj, ", ", ", ", "[", "]"))
+        out.append("]")
     elif isinstance(obj, (list, tuple)):
         text = _number_row(obj, ", ")
         if text is not None:
@@ -127,6 +172,11 @@ def dumps_json(obj) -> str:
 
 
 def dumps_csv(header, rows) -> str:
+    """CSV text of a header and rows; ``rows`` may be a SqueezeSurface,
+    whose long-format rows are written from its columns."""
+    if isinstance(rows, region.SqueezeSurface):
+        return "".join([",".join(header), "\n", *_surface_blocks(rows, ",", "\n", "", ""), "\n"])
+
     def cell(v):
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -341,9 +391,10 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 
-#: Largest --grid.  A surface holds 4 * grid**2 cells in memory; at 513
-#: the command peaks at about 445 MB with CSV output and 395 MB with JSON
-#: (Python 3.11, 64-bit Linux).
+#: Largest --grid.  A surface computes 2 * grid**2 cells and writes
+#: 4 * grid**2 rows; at 513 the command peaks at about 215 MB with CSV
+#: output (70 MB of text) and 230 MB with JSON (79 MB) (Python 3.11,
+#: 64-bit Linux).
 MAX_GRID = 513
 
 #: Largest --draws.  The Monte-Carlo check holds 100 * draws samples at
@@ -355,17 +406,17 @@ def cmd_surface(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     grid = grid_from(opts)
+    require_full_squeeze(budget)
     surface = region.squeeze_surface(params, budget, grid_n=grid)
-    rows = surface.rows()
     log.info("surface grid %dx%d over %d sign layers", grid, grid, len(region.SIGN_LAYERS))
     if opts["format"] != "json":
-        return dumps_csv(SURFACE_COLUMNS, rows), None
+        return dumps_csv(SURFACE_COLUMNS, surface), None
     return dumps_json({
         "channel": asdict(params),
         "budget": {"n_a": budget.n_a, "n_b": budget.n_b},
         "grid": grid,
         "columns": list(SURFACE_COLUMNS),
-        "rows": rows,
+        "rows": surface,
     }), None
 
 
@@ -480,6 +531,7 @@ def cmd_optimize(opts: dict) -> tuple:
     budget = budget_from(opts)
     objective = region.Objective(opts["objective"])
     grid = grid_from(opts)
+    require_full_squeeze(budget)
     result = region.optimize_squeezing(params, budget, objective, grid_n=grid)
     report = {
         "channel": asdict(params),

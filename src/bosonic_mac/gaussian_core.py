@@ -179,6 +179,19 @@ def fraction_squeezing(p: float, n: float) -> float:
     return math.asinh(math.sqrt(p * n))
 
 
+def require_full_squeeze(budget: PhotonBudget) -> None:
+    """Reject a photon total of ``budget`` whose full squeeze, the p = 1
+    end of every squeeze-fraction sweep, fails the squeezing check."""
+    for field, n in (("n_a", budget.n_a), ("n_b", budget.n_b)):
+        r = fraction_squeezing(1.0, n)
+        try:
+            _require_squeezing(field, n, r)
+        except InputError as exc:
+            raise InputError(
+                field, f"a squeeze sweep needs a total below about 4.49e307: at p = 1, {exc.message}"
+            ) from None
+
+
 def input_covariances(budget: PhotonBudget, params: ChannelParams):
     """Covariance matrices (X, Y, Z) of the two transmitter modes and the
     environment mode."""

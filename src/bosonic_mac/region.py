@@ -105,25 +105,25 @@ def _fractions(points: int) -> tuple:
 
 def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, layers=SIGN_LAYERS):
     """For each (sign_a, sign_b) of ``layers``, yield sign_a, sign_b and the
-    list of kernels.rate_grid over the squeezings that spend the fractions
-    ``p_values`` of ``n_a`` (rows) and of ``n_b`` (columns): one rate
-    triple per (p_a, p_b) cell, in row-major order.
+    kernels.rate_columns lists (r_max_a, r_max_b, r_max_ab) over the
+    squeezings that spend the fractions ``p_values`` of ``n_a`` (rows) and
+    of ``n_b`` (columns): one value per (p_a, p_b) cell, in row-major order.
 
     A layer whose mirror (-sign_a, -sign_b) came earlier yields the
-    mirror's list, the same object, without a kernel call: the two are
-    equal bit for bit (see SIGN_LAYERS).  Callers must not mutate it.
+    mirror's lists, the same objects, without a kernel call: the two are
+    equal bit for bit (see SIGN_LAYERS).  Callers must not mutate them.
     """
     r_a = [fraction_squeezing(p, n_a) for p in p_values]
     r_b = [fraction_squeezing(p, n_b) for p in p_values]
     unmirrored = {}
     for sign_a, sign_b in layers:
-        cells = unmirrored.pop((-sign_a, -sign_b), None)
-        if cells is None:
-            cells = unmirrored[sign_a, sign_b] = kernels.rate_grid(
+        rates = unmirrored.pop((-sign_a, -sign_b), None)
+        if rates is None:
+            rates = unmirrored[sign_a, sign_b] = kernels.rate_columns(
                 params.eta1, params.eta2, params.n_thermal, n_a, n_b,
                 [sign_a * r for r in r_a], [sign_b * r for r in r_b],
             )
-        yield sign_a, sign_b, cells
+        yield sign_a, sign_b, rates
 
 
 def _first_max(values):
@@ -135,36 +135,57 @@ def _first_max(values):
 @dataclass(frozen=True)
 class SqueezeSurface:
     """Individual rates over a (p_a, p_b) squeeze-fraction grid, one layer
-    per quadrature orientation pair of SIGN_LAYERS.
+    per quadrature orientation pair of SIGN_LAYERS, stored by column.
 
-    ``table`` holds rows (p_a, p_b, sign_a, sign_b, r_max_a, r_max_b) in
-    layer-major, row-major order.
+    ``p_values`` holds the grid_n fractions.  ``layers`` holds one
+    (sign_a, sign_b, r_max_a, r_max_b) entry per layer in SIGN_LAYERS
+    order, whose two rate columns list the grid_n**2 cells in row-major
+    (p_a-major) order.  A mirrored layer holds its twin's column tuples,
+    the same objects (see SIGN_LAYERS).  ``rows()`` and ``table`` build the
+    long format on demand.
     """
 
     grid_n: int
-    table: tuple
+    p_values: tuple
+    layers: tuple
 
     def cell(self, sign_a: int, sign_b: int, i: int, j: int):
         """(r_max_a, r_max_b) at fraction indices (i, j) of one layer."""
         if not (0 <= i < self.grid_n and 0 <= j < self.grid_n):
             raise IndexError(f"cell ({i}, {j}) is outside the {self.grid_n}x{self.grid_n} grid")
-        layer = SIGN_LAYERS.index((sign_a, sign_b))
-        return self.table[(layer * self.grid_n + i) * self.grid_n + j][4:]
+        _, _, ra, rb = self.layers[SIGN_LAYERS.index((sign_a, sign_b))]
+        k = i * self.grid_n + j
+        return ra[k], rb[k]
 
     def coherent_cell(self):
         """(r_max_a, r_max_b) of the zero-squeezing baseline."""
-        return self.table[0][4:]
+        return self.cell(1, 1, 0, 0)
 
     def rows(self):
         """Long-format rows (p_a, p_b, sign_a, sign_b, r_max_a, r_max_b) in
         stable layer-major, row-major order."""
-        return self.table
+        p_a_column = [p_a for p_a in self.p_values for _ in self.p_values]
+        p_b_column = self.p_values * self.grid_n
+        table = []
+        for sign_a, sign_b, ra, rb in self.layers:
+            table.extend(zip(p_a_column, p_b_column, repeat(sign_a), repeat(sign_b), ra, rb))
+        return tuple(table)
+
+    @property
+    def table(self):
+        """The tuple of ``rows()``."""
+        return self.rows()
 
     def max_alice_rate(self):
         """Best r_max_a over the grid: (value, (sign_a, sign_b), p_a, p_b);
-        the first of equal maxima wins."""
-        p_a, p_b, sign_a, sign_b, ra, _ = max(self.table, key=lambda row: row[4])
-        return ra, (sign_a, sign_b), p_a, p_b
+        the first of equal maxima in layer-major, row-major order wins."""
+        best = None
+        for sign_a, sign_b, ra, _ in self.layers:
+            top, k = _first_max(ra)
+            if best is None or top > best[0]:
+                best = (top, (sign_a, sign_b), self.p_values[k // self.grid_n],
+                        self.p_values[k % self.grid_n])
+        return best
 
 
 def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 33) -> SqueezeSurface:
@@ -173,18 +194,21 @@ def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 3
     Only the photon totals of ``budget`` are used; its squeezing
     parameters are replaced cell by cell.  The p = 0 row and column carry
     the coherent baseline.  Layers (1, 1) and (1, -1) are one
-    ``kernels.rate_grid`` call each, whose rate columns go into the table
-    as they are; layers (-1, 1) and (-1, -1) mirror them bit for bit (see
-    SIGN_LAYERS) and take the same rate triples.
+    ``kernels.rate_columns`` call each, whose r_max_a and r_max_b columns the
+    surface keeps; layers (-1, 1) and (-1, -1) mirror them bit for bit (see
+    SIGN_LAYERS) and share those columns.
     """
     p_values = _fractions(grid_n)
-    p_a_column = [p_a for p_a in p_values for _ in p_values]
-    p_b_column = list(p_values) * grid_n
-    table = []
-    for sign_a, sign_b, cells in _sweep(params, budget.n_a, budget.n_b, p_values):
-        ra, _, rb, _, _, _ = zip(*cells)
-        table.extend(zip(p_a_column, p_b_column, repeat(sign_a), repeat(sign_b), ra, rb))
-    return SqueezeSurface(grid_n, tuple(table))
+    # id of each kernel result _sweep yields -> (the result, kept alive so
+    # that its id stays unique, and its two rate columns as tuples).
+    columns = {}
+    layers = []
+    for sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
+        if id(rates) not in columns:
+            columns[id(rates)] = rates, tuple(rates[0]), tuple(rates[1])
+        _, ra, rb = columns[id(rates)]
+        layers.append((sign_a, sign_b, ra, rb))
+    return SqueezeSurface(grid_n, p_values, tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -218,6 +242,7 @@ def optimize_squeezing(
     and the first maximum is the one a four-layer walk finds.
     """
     idx = {Objective.MAX_RA: 0, Objective.MAX_RB: 2, Objective.MAX_SUM: 4}[objective]
+    column = idx // 2  # of the kernels.rate_columns lists
     p_values = _fractions(grid_n)
 
     def value(p_a, p_b, sign_a, sign_b):
@@ -229,8 +254,8 @@ def optimize_squeezing(
 
     baseline = value(0.0, 0.0, 1, 1)
     best = (baseline, 0.0, 0.0, 1, 1)
-    for sign_a, sign_b, cells in _sweep(params, budget.n_a, budget.n_b, p_values):
-        top, k = _first_max([rates[idx] for rates in cells])
+    for sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
+        top, k = _first_max(rates[column])
         if top > best[0]:
             best = (top, p_values[k // grid_n], p_values[k % grid_n], sign_a, sign_b)
 
@@ -398,11 +423,10 @@ def global_constraint_scan(
     p_values = _fractions(fraction_points)
     best = {}
     for s in _fractions(s_points):
-        (_, _, cells), = _sweep(
+        (_, _, rates), = _sweep(
             params, s * total_photons, (1.0 - s) * total_photons, p_values, layers=((1, 1),)
         )
-        ra, _, rb, _, rab, _ = zip(*cells)
-        for name, values in (("alice", ra), ("bob", rb), ("sum", rab)):
+        for name, values in zip(("alice", "bob", "sum"), rates):
             top, k = _first_max(values)
             if name not in best or top > best[name].value:
                 best[name] = ScanCell(

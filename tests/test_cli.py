@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bosonic_mac import _kernels as kernels
 from bosonic_mac import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,6 +52,11 @@ BAD_INPUTS = [
     (["asymptotics", "--eta2", "1", "--nt", "1e308"], "nt"),
     (["rates", "--eta2", "1", "--nt", "1e308"], "nt"),
     (["surface", "--grid", "514"], "grid"),
+    # Every squeeze sweep reaches p = 1, whose full squeeze overflows exp(2r).
+    (["surface", "--na", "4.5e307"], "na"),
+    (["surface", "--na", "1e308", "--grid", "2"], "na"),
+    (["optimize", "--eta1", "0.0688", "--eta2", "0.528", "--nt", "332", "--na", "1e308",
+      "--nb", "1e308", "--grid", "9"], "na"),
     (["optimize", "--grid", "1"], "grid"),
     (["verify", "--seed", "-1"], "seed"),
     (["verify", "--tolerance", "nan"], "tolerance"),
@@ -247,6 +253,37 @@ def test_non_finite_row_raises_the_per_value_error(bad, monkeypatch):
             errors.append(str(exc.value))
         _per_value_only(monkeypatch)
     assert errors == [f"non-finite number in output: {bad}"] * 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_surface_cell_exits_3_with_nothing_written(bad, fmt, tmp_path,
+                                                              monkeypatch, capsys):
+    # The message names the first non-finite value in output order: here
+    # r_max_b of cell 5 of layer (1, 1), ahead of another value in r_max_a
+    # of cell 6 and of the first cell of layer (1, -1).
+    other = math.nan if math.isinf(bad) else math.inf
+    real = kernels.rate_columns
+
+    def poisoned(*args):
+        r_max_a, r_max_b, r_max_ab = real(*args)
+        if not seen:
+            r_max_b[5] = bad
+            r_max_a[6] = other
+        else:
+            r_max_a[0] = other
+        seen.append(args)
+        return r_max_a, r_max_b, r_max_ab
+
+    seen = []
+    monkeypatch.setattr(kernels, "rate_columns", poisoned)
+    out_path = tmp_path / "surface.out"
+    for extra in ([], ["--out", str(out_path)]):
+        seen.clear()
+        code, out, err = run(["surface", "--grid", "3", "--format", fmt, *extra], capsys)
+        assert len(seen) == 2
+        assert (code, out, err) == (3, "", f"error: non-finite number in output: {bad}\n")
+    assert not out_path.exists() or out_path.read_bytes() == b""
 
 
 #: sha256 of `surface --grid 9` for one channel, recorded before the

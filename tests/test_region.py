@@ -115,6 +115,18 @@ class TestSqueezeSurface:
         with pytest.raises(IndexError):
             surf.cell(1, 1, 0, -1)
 
+    def test_max_alice_rate_is_the_first_maximum_of_the_rows(self, surface_channel):
+        # Bob's squeezing helps Alice at (4, 8); zero budgets tie every
+        # cell at 0, so the first row must win.
+        best = []
+        for budget in (PhotonBudget(4.0, 8.0), PhotonBudget(0.0, 0.0), PhotonBudget(3.0, 0.0)):
+            surf = squeeze_surface(surface_channel, budget, grid_n=5)
+            p_a, p_b, sign_a, sign_b, ra, _ = max(surf.rows(), key=lambda row: row[4])
+            best.append(surf.max_alice_rate())
+            assert best[-1] == (ra, (sign_a, sign_b), p_a, p_b)
+        assert best[0][1:] != ((1, 1), 0.0, 0.0)
+        assert best[1] == (0.0, (1, 1), 0.0, 0.0)
+
     def test_grid_validation(self, surface_channel, surface_budget):
         with pytest.raises(ValueError):
             squeeze_surface(surface_channel, surface_budget, grid_n=1)
@@ -439,23 +451,24 @@ def test_mirrored_layers_are_bit_identical():
 
 def test_sweep_computes_each_mirror_pair_once(monkeypatch):
     seen = []
-    real = kernels.rate_grid
+    real = kernels.rate_columns
 
     def counting(*args):
         seen.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kernels, "rate_grid", counting)
+    monkeypatch.setattr(kernels, "rate_columns", counting)
     params, budget, p_values = ChannelParams(0.2, 0.9, 4.0), PhotonBudget(4.0, 8.0), _fractions(3)
     for layers, calls in ((SIGN_LAYERS, 2), (((1, 1),), 1)):
         seen.clear()
         walked = list(_sweep(params, budget.n_a, budget.n_b, p_values, layers))
         assert len(seen) == calls
         assert [layer[:2] for layer in walked] == list(layers)
-        for sign_a, sign_b, cells in walked:
+        for sign_a, sign_b, rates in walked:
             r_a = [sign_a * fraction_squeezing(p, budget.n_a) for p in p_values]
             r_b = [sign_b * fraction_squeezing(p, budget.n_b) for p in p_values]
-            assert _bits(cells) == _bits(_loop_grid(params, budget.n_a, budget.n_b, r_a, r_b))
+            cells = _loop_grid(params, budget.n_a, budget.n_b, r_a, r_b)
+            assert _bits(rates) == _bits([[c[k] for c in cells] for k in (0, 2, 4)])
     seen.clear()
     squeeze_surface(params, budget, grid_n=3)
     optimize_squeezing(params, budget, Objective.MAX_RA, grid_n=3)
