@@ -38,6 +38,10 @@ _LN2 = math.log(2.0)
 _NEG_TOL = 1e-12
 
 
+def _negative_photon_error(x):
+    return ValueError(f"mean photon number must be >= 0, got {x}")
+
+
 def g_entropy(x):
     """Entropy in bits of a thermal state with mean photon number ``x``.
 
@@ -46,7 +50,7 @@ def g_entropy(x):
     large arguments.
     """
     if x < -_NEG_TOL:
-        raise ValueError(f"mean photon number must be >= 0, got {x}")
+        raise _negative_photon_error(x)
     if x < 1e-300:
         return 0.0
     return (math.log1p(x) + x * math.log1p(1.0 / x)) / _LN2
@@ -149,7 +153,7 @@ def _triple(v1, v2, nca, ncb):
     x = 2.0 * sqrt(v1 * v2) - 0.5
     if x < 1e-300:
         if x < -_NEG_TOL:
-            raise ValueError(f"mean photon number must be >= 0, got {x}")
+            raise _negative_photon_error(x)
         g2 = 0.0
     else:
         g2 = (log1p(x) + x * log1p(1.0 / x)) / _LN2
@@ -171,7 +175,7 @@ def _triple(v1, v2, nca, ncb):
             branch = 2
         if x < 1e-300:
             if x < -_NEG_TOL:
-                raise ValueError(f"mean photon number must be >= 0, got {x}")
+                raise _negative_photon_error(x)
             # g(x) = 0 and g2 >= 0 (or nan), so the clamped rate is 0.
             out += (0.0, branch)
         else:
@@ -221,10 +225,6 @@ def rate_grid(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
             columns.append((b1, b2, ncb))
             cells.append(_triple(0.25 * (a1 + b1 + t), 0.25 * (a2 + b2 + t), nca, ncb))
     return cells
-
-
-def _negative_photon_error(x):
-    return ValueError(f"mean photon number must be >= 0, got {x}")
 
 
 def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):

@@ -18,7 +18,6 @@ a traceback.  Identical configuration and seed give byte-identical output.
 """
 
 import argparse
-import functools
 import logging
 import math
 import os
@@ -32,7 +31,6 @@ from .gaussian_core import (
     InputError,
     PhotonBudget,
     SqueezeFractions,
-    require_full_squeeze,
 )
 from .rates import (
     Receiver,
@@ -59,41 +57,12 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_NUMBER_FORMATS = {float: "%.17g", int: "%d"}
-
-
-@functools.lru_cache(maxsize=256)
-def _row_template(key: tuple):
-    """``%`` template for ``key`` = (separator, type of each value): the
-    values' formats joined by the separator; None unless every type is
-    exactly float or int."""
-    sep, *value_types = key
-    if not all(t in _NUMBER_FORMATS for t in value_types):
-        return None
-    return sep.join([_NUMBER_FORMATS[t] for t in value_types])
-
-
-def _number_row(row, sep: str):
-    """The values of a list or tuple ``row`` joined by ``sep`` in one ``%``
-    formatting when it holds only floats and ints (not bools), else None.
-    None also when a value is inf or nan, the only texts with an "n", so
-    that the per-value path raises its error."""
-    # The first value turns away a table of rows before its types are read.
-    if not isinstance(row, (list, tuple)) or not row or type(row[0]) not in _NUMBER_FORMATS:
-        return None
-    template = _row_template((sep, *map(type, row)))
-    if template is None:
-        return None
-    text = template % tuple(row)
-    return None if "n" in text else text
-
-
 def _surface_blocks(surface, sep: str, row_sep: str, start: str, end: str) -> list:
     """The long-format rows of ``surface`` as text, one block per grid row
     of each layer in output order.  Each row is ``start``, its six values
     joined by ``sep``, then ``end``; rows are joined by ``row_sep``.
 
-    The text equals one ``_number_row`` per row, but each p value is
+    The text equals the rows written value by value, but each p value is
     formatted once, and the rate pairs of a mirrored layer's shared columns
     (see region.SIGN_LAYERS) once for both layers.  Raises CliError for
     the first inf or nan in output order.
@@ -150,10 +119,6 @@ def _json_write(obj, out: list) -> None:
         out.extend(_surface_blocks(obj, ", ", ", ", "[", "]"))
         out.append("]")
     elif isinstance(obj, (list, tuple)):
-        text = _number_row(obj, ", ")
-        if text is not None:
-            out.append("[" + text + "]")
-            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -187,9 +152,7 @@ def dumps_csv(header, rows) -> str:
         return str(v)
 
     lines = [",".join(header)]
-    for row in rows:
-        text = _number_row(row, ",")
-        lines.append(",".join(cell(v) for v in row) if text is None else text)
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -406,7 +369,6 @@ def cmd_surface(opts: dict) -> tuple:
     params = channel_from(opts)
     budget = budget_from(opts)
     grid = grid_from(opts)
-    require_full_squeeze(budget)
     surface = region.squeeze_surface(params, budget, grid_n=grid)
     log.info("surface grid %dx%d over %d sign layers", grid, grid, len(region.SIGN_LAYERS))
     if opts["format"] != "json":
@@ -531,7 +493,6 @@ def cmd_optimize(opts: dict) -> tuple:
     budget = budget_from(opts)
     objective = region.Objective(opts["objective"])
     grid = grid_from(opts)
-    require_full_squeeze(budget)
     result = region.optimize_squeezing(params, budget, objective, grid_n=grid)
     report = {
         "channel": asdict(params),

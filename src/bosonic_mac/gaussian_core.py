@@ -179,10 +179,10 @@ def fraction_squeezing(p: float, n: float) -> float:
     return math.asinh(math.sqrt(p * n))
 
 
-def require_full_squeeze(budget: PhotonBudget) -> None:
-    """Reject a photon total of ``budget`` whose full squeeze, the p = 1
-    end of every squeeze-fraction sweep, fails the squeezing check."""
-    for field, n in (("n_a", budget.n_a), ("n_b", budget.n_b)):
+def require_full_squeeze(n_a: float, n_b: float) -> None:
+    """Reject a photon total ``n_a`` or ``n_b`` whose full squeeze, the
+    p = 1 end of every squeeze-fraction sweep, fails the squeezing check."""
+    for field, n in (("n_a", n_a), ("n_b", n_b)):
         r = fraction_squeezing(1.0, n)
         try:
             _require_squeezing(field, n, r)

@@ -13,19 +13,26 @@ from itertools import repeat
 
 from . import _kernels as kernels
 from ._search import golden_section_max
-from .gaussian_core import ChannelParams, PhotonBudget, fraction_squeezing
+from .gaussian_core import (
+    ChannelParams,
+    PhotonBudget,
+    _require_photons,
+    fraction_squeezing,
+    require_full_squeeze,
+)
 from .rates import Receiver, User, outer_bound, rate_bundle, receiver_rates
 
 #: Quadrature orientation layers evaluated by surfaces and optimizers.
 #:
-#: Flipping both signs is a pi/2 phase rotation of the receiver mode: it
-#: swaps V1 and V2 and leaves the received photons alone.  The rates read
-#: the variances only through V1 + V2, V1 * V2 and |V1 - V2|, so layer
-#: (-sign_a, -sign_b) equals layer (sign_a, sign_b).  The equality is exact
-#: in floating point: 2.0 * (-r) == -(2.0 * r), sinh is odd so sinh(r)**2
-#: keeps its bits, and the sum, product and absolute difference of the
-#: two variances are symmetric under the swap.  The last two layers mirror
-#: the first two and come after them.
+#: Sign-product rule: layer (sign_a, sign_b) equals layer
+#: (1, sign_a * sign_b) bit for bit, so a sweep computes one layer per
+#: sign product and the last two layers mirror the first two.  Flipping
+#: both signs is a pi/2 phase rotation of the receiver mode: it swaps V1
+#: and V2 and leaves the received photons alone, and the rates read the
+#: variances only through V1 + V2, V1 * V2 and |V1 - V2|.  The equality is
+#: exact in floating point: 2.0 * (-r) == -(2.0 * r), sinh is odd so
+#: sinh(r)**2 keeps its bits, and the sum, product and absolute difference
+#: of the two variances are symmetric under the swap.
 SIGN_LAYERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -103,27 +110,26 @@ def _fractions(points: int) -> tuple:
     return tuple(i / (points - 1) for i in range(points))
 
 
-def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, layers=SIGN_LAYERS):
-    """For each (sign_a, sign_b) of ``layers``, yield sign_a, sign_b and the
-    kernels.rate_columns lists (r_max_a, r_max_b, r_max_ab) over the
-    squeezings that spend the fractions ``p_values`` of ``n_a`` (rows) and
-    of ``n_b`` (columns): one value per (p_a, p_b) cell, in row-major order.
+def _sweep(params: ChannelParams, n_a: float, n_b: float, p_values, products=(1, -1)):
+    """The kernels.rate_columns lists (r_max_a, r_max_b, r_max_ab) of each
+    sign product in ``products``, keyed by it: one value per (p_a, p_b)
+    cell, in row-major order, over the squeezings that spend the fractions
+    ``p_values`` of ``n_a`` (rows) and of ``n_b`` (columns).  The entry of
+    product s is layer (1, s), and so, by the sign-product rule of
+    SIGN_LAYERS, every layer (sign_a, sign_b) with sign_a * sign_b == s.
 
-    A layer whose mirror (-sign_a, -sign_b) came earlier yields the
-    mirror's lists, the same objects, without a kernel call: the two are
-    equal bit for bit (see SIGN_LAYERS).  Callers must not mutate them.
+    Raises InputError naming ``n_a`` or ``n_b``, before any kernel call,
+    for a total whose p = 1 squeeze fails the squeezing check.
     """
+    require_full_squeeze(n_a, n_b)
     r_a = [fraction_squeezing(p, n_a) for p in p_values]
     r_b = [fraction_squeezing(p, n_b) for p in p_values]
-    unmirrored = {}
-    for sign_a, sign_b in layers:
-        rates = unmirrored.pop((-sign_a, -sign_b), None)
-        if rates is None:
-            rates = unmirrored[sign_a, sign_b] = kernels.rate_columns(
-                params.eta1, params.eta2, params.n_thermal, n_a, n_b,
-                [sign_a * r for r in r_a], [sign_b * r for r in r_b],
-            )
-        yield sign_a, sign_b, rates
+    return {
+        sign: kernels.rate_columns(
+            params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, [sign * r for r in r_b]
+        )
+        for sign in products
+    }
 
 
 def _first_max(values):
@@ -140,9 +146,9 @@ class SqueezeSurface:
     ``p_values`` holds the grid_n fractions.  ``layers`` holds one
     (sign_a, sign_b, r_max_a, r_max_b) entry per layer in SIGN_LAYERS
     order, whose two rate columns list the grid_n**2 cells in row-major
-    (p_a-major) order.  A mirrored layer holds its twin's column tuples,
-    the same objects (see SIGN_LAYERS).  ``rows()`` and ``table`` build the
-    long format on demand.
+    (p_a-major) order.  Layers of one sign product hold the same column
+    tuples, the same objects (see SIGN_LAYERS).  ``rows()`` builds the long
+    format on demand.
     """
 
     grid_n: int
@@ -171,11 +177,6 @@ class SqueezeSurface:
             table.extend(zip(p_a_column, p_b_column, repeat(sign_a), repeat(sign_b), ra, rb))
         return tuple(table)
 
-    @property
-    def table(self):
-        """The tuple of ``rows()``."""
-        return self.rows()
-
     def max_alice_rate(self):
         """Best r_max_a over the grid: (value, (sign_a, sign_b), p_a, p_b);
         the first of equal maxima in layer-major, row-major order wins."""
@@ -193,22 +194,18 @@ def squeeze_surface(params: ChannelParams, budget: PhotonBudget, grid_n: int = 3
 
     Only the photon totals of ``budget`` are used; its squeezing
     parameters are replaced cell by cell.  The p = 0 row and column carry
-    the coherent baseline.  Layers (1, 1) and (1, -1) are one
-    ``kernels.rate_columns`` call each, whose r_max_a and r_max_b columns the
-    surface keeps; layers (-1, 1) and (-1, -1) mirror them bit for bit (see
-    SIGN_LAYERS) and share those columns.
+    the coherent baseline.  Each layer takes the r_max_a and r_max_b columns
+    of its sign product, one ``kernels.rate_columns`` call per product (see
+    SIGN_LAYERS and ``_sweep``).
     """
     p_values = _fractions(grid_n)
-    # id of each kernel result _sweep yields -> (the result, kept alive so
-    # that its id stays unique, and its two rate columns as tuples).
-    columns = {}
-    layers = []
-    for sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
-        if id(rates) not in columns:
-            columns[id(rates)] = rates, tuple(rates[0]), tuple(rates[1])
-        _, ra, rb = columns[id(rates)]
-        layers.append((sign_a, sign_b, ra, rb))
-    return SqueezeSurface(grid_n, p_values, tuple(layers))
+    columns = {
+        sign: (tuple(rates[0]), tuple(rates[1]))
+        for sign, rates in _sweep(params, budget.n_a, budget.n_b, p_values).items()
+    }
+    return SqueezeSurface(grid_n, p_values, tuple(
+        (sign_a, sign_b, *columns[sign_a * sign_b]) for sign_a, sign_b in SIGN_LAYERS
+    ))
 
 
 @dataclass(frozen=True)
@@ -236,10 +233,10 @@ def optimize_squeezing(
     """Coarse grid then coordinate-wise golden-section refinement.
 
     The zero-squeezing baseline is always a candidate, so the result never
-    falls below it.  The coarse grid computes two of the four sign layers:
-    the other two mirror them bit for bit (see SIGN_LAYERS) and come
-    after them, so a mirrored layer never strictly improves on its twin
-    and the first maximum is the one a four-layer walk finds.
+    falls below it.  The coarse grid walks the first two sign layers only:
+    the other two mirror them bit for bit (see SIGN_LAYERS) and come after
+    them, so a mirrored layer never strictly improves on its twin and the
+    first maximum is the one a four-layer walk finds.
     """
     idx = {Objective.MAX_RA: 0, Objective.MAX_RB: 2, Objective.MAX_SUM: 4}[objective]
     column = idx // 2  # of the kernels.rate_columns lists
@@ -254,8 +251,9 @@ def optimize_squeezing(
 
     baseline = value(0.0, 0.0, 1, 1)
     best = (baseline, 0.0, 0.0, 1, 1)
-    for sign_a, sign_b, rates in _sweep(params, budget.n_a, budget.n_b, p_values):
-        top, k = _first_max(rates[column])
+    columns = _sweep(params, budget.n_a, budget.n_b, p_values)
+    for sign_a, sign_b in SIGN_LAYERS[:2]:
+        top, k = _first_max(columns[sign_a * sign_b][column])
         if top > best[0]:
             best = (top, p_values[k // grid_n], p_values[k % grid_n], sign_a, sign_b)
 
@@ -418,14 +416,11 @@ def global_constraint_scan(
     objectives and the argmax cells are tracked with strict improvement,
     so ties resolve to the earliest cell in (s, p_a, p_b) order.
     """
-    if total_photons < 0.0:
-        raise ValueError("total_photons must be >= 0")
+    _require_photons("total_photons", total_photons)
     p_values = _fractions(fraction_points)
     best = {}
     for s in _fractions(s_points):
-        (_, _, rates), = _sweep(
-            params, s * total_photons, (1.0 - s) * total_photons, p_values, layers=((1, 1),)
-        )
+        rates = _sweep(params, s * total_photons, (1.0 - s) * total_photons, p_values, (1,))[1]
         for name, values in zip(("alice", "bob", "sum"), rates):
             top, k = _first_max(values)
             if name not in best or top > best[name].value:

@@ -207,8 +207,8 @@ def test_negative_value_after_a_space(spaced, joined, capsys):
     assert run(spaced, capsys) == run(joined, capsys)
 
 
-# Rows of floats and ints are written with one %-template; every other row,
-# and any row with inf or nan, value by value.  Both paths give one text.
+# Rows are written value by value: 17 significant digits for a float,
+# the integer digits for an int, and bool and None by name.
 SERIALIZER_ROWS = [
     [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
     [2**70, -(2**70), 0, -1, 7],
@@ -222,19 +222,38 @@ SERIALIZER_ROWS = [
     (0.125, 0.5, 1, -1, 0.7, 1e16),
 ]
 
+#: The recorded text of SERIALIZER_ROWS: a change here changes printed bytes.
+SERIALIZER_CSV = (
+    "c0,c1,c2,c3,c4,c5,c6,c7\n"
+    "-0,0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308\n"
+    "1180591620717411303424,-1180591620717411303424,0,-1,7\n"
+    "0.10000000000000001,2,-3.5,1180591620717411303424,1e-300,0.33333333333333331,-0,1\n"
+    "\n"
+    "1\n"
+    "label,0.5,3\n"
+    "true,false,1,0\n"
+    "None,0.25,None\n"
+    "0.125,0.5,1,-1,0.69999999999999996,10000000000000000\n"
+)
+SERIALIZER_JSON = (
+    '{"rows": [[-0, 0, 4.9406564584124654e-324, 1.7976931348623157e+308, '
+    '-1.7976931348623157e+308], [1180591620717411303424, -1180591620717411303424, 0, -1, 7], '
+    '[0.10000000000000001, 2, -3.5, 1180591620717411303424, 1e-300, 0.33333333333333331, '
+    '-0, 1], [], [1], ["label", 0.5, 3], [true, false, 1, 0], [null, 0.25, null], '
+    '[[1, 2], [], [[-0, 4.9406564584124654e-324], "x"]], '
+    '[0.125, 0.5, 1, -1, 0.69999999999999996, 10000000000000000]], '
+    '"one": [0.10000000000000001, 2, -3.5, 1180591620717411303424, 1e-300, '
+    '0.33333333333333331, -0, 1]}\n'
+)
 
-def _per_value_only(monkeypatch):
-    monkeypatch.setattr(cli, "_number_row", lambda row, sep: None)
 
-
-def test_row_template_matches_per_value_path(monkeypatch):
+def test_serializer_rows_are_pinned():
     flat = [row for row in SERIALIZER_ROWS if not any(isinstance(v, list) for v in row)]
     header = [f"c{i}" for i in range(8)]
     csv = cli.dumps_csv(header, flat)
     json_text = cli.dumps_json({"rows": SERIALIZER_ROWS, "one": SERIALIZER_ROWS[2]})
-    _per_value_only(monkeypatch)
-    assert csv == cli.dumps_csv(header, flat)
-    assert json_text == cli.dumps_json({"rows": SERIALIZER_ROWS, "one": SERIALIZER_ROWS[2]})
+    assert csv == SERIALIZER_CSV
+    assert json_text == SERIALIZER_JSON
     assert csv.split("\n")[1] == (
         "-0,0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308")
     assert csv.split("\n")[2] == "1180591620717411303424,-1180591620717411303424,0,-1,7"
@@ -242,17 +261,15 @@ def test_row_template_matches_per_value_path(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_non_finite_row_raises_the_per_value_error(bad, monkeypatch):
+def test_non_finite_row_raises_the_per_value_error(bad):
     rows = [[1.0, 2, bad, math.inf]]
     errors = []
-    for _ in range(2):
-        for dump in (lambda: cli.dumps_csv(["a", "b", "c", "d"], rows),
-                     lambda: cli.dumps_json({"rows": rows})):
-            with pytest.raises(cli.CliError) as exc:
-                dump()
-            errors.append(str(exc.value))
-        _per_value_only(monkeypatch)
-    assert errors == [f"non-finite number in output: {bad}"] * 4
+    for dump in (lambda: cli.dumps_csv(["a", "b", "c", "d"], rows),
+                 lambda: cli.dumps_json({"rows": rows})):
+        with pytest.raises(cli.CliError) as exc:
+            dump()
+        errors.append(str(exc.value))
+    assert errors == [f"non-finite number in output: {bad}"] * 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -7,6 +7,7 @@ import pytest
 
 from bosonic_mac import (
     ChannelParams,
+    InputError,
     Objective,
     Pentagon,
     PhotonBudget,
@@ -21,7 +22,7 @@ from bosonic_mac import (
 )
 from bosonic_mac import _kernels as kernels
 from bosonic_mac._search import golden_section_max
-from bosonic_mac.gaussian_core import fraction_squeezing
+from bosonic_mac.gaussian_core import fraction_squeezing, require_full_squeeze
 from bosonic_mac.region import (
     OPTIMIZE_TOL,
     SIGN_LAYERS,
@@ -274,6 +275,12 @@ class TestGlobalScan:
         assert set(doc["argmax"]) == {"alice", "bob", "sum"}
         assert doc["total_photons"] == 2.0
 
+    @pytest.mark.parametrize("total", [-1.0, math.inf, math.nan])
+    def test_total_must_be_finite_and_non_negative(self, surface_channel, total):
+        with pytest.raises(InputError) as exc:
+            global_constraint_scan(surface_channel, total, s_points=3, fraction_points=3)
+        assert exc.value.field == "total_photons"
+
 
 # ---------------------------------------------------------------------------
 # The grid walk against per-cell rate_triple, bit for bit.
@@ -305,7 +312,9 @@ def _loop_grid(params, n_a, n_b, r_a_values, r_b_values):
 
 def _loop_cells(params, n_a, n_b, p_values, layers=SIGN_LAYERS):
     """(p_a, p_b, sign_a, sign_b, rate_triple) per cell, layer-major and
-    row-major, one rate_triple call per cell."""
+    row-major, one rate_triple call per cell, once the totals pass the
+    sweeps' full-squeeze check."""
+    require_full_squeeze(n_a, n_b)
     for sign_a, sign_b in layers:
         for p_a in p_values:
             r_a = sign_a * fraction_squeezing(p_a, n_a)
@@ -400,7 +409,7 @@ def test_rate_grid_matches_rate_triple():
             raised += isinstance(got, type)
             ties += not isinstance(got, type) and any(
                 c[1] == c[3] == c[5] == 1 and c[0] == "0x0.0p+0" for c in got)
-        assert _outcome(lambda: squeeze_surface(params, budget, grid_n=5).table) == \
+        assert _outcome(lambda: squeeze_surface(params, budget, grid_n=5).rows()) == \
             _outcome(lambda: _loop_surface(params, budget, 5))
         total = n_a + n_b
         assert _outcome(lambda: [
@@ -449,7 +458,8 @@ def test_mirrored_layers_are_bit_identical():
     assert raised
 
 
-def test_sweep_computes_each_mirror_pair_once(monkeypatch):
+def _counted_rate_columns(monkeypatch):
+    """The argument tuples of every kernels.rate_columns call from here on."""
     seen = []
     real = kernels.rate_columns
 
@@ -458,18 +468,49 @@ def test_sweep_computes_each_mirror_pair_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels, "rate_columns", counting)
+    return seen
+
+
+def test_sweep_computes_each_mirror_pair_once(monkeypatch):
+    seen = _counted_rate_columns(monkeypatch)
     params, budget, p_values = ChannelParams(0.2, 0.9, 4.0), PhotonBudget(4.0, 8.0), _fractions(3)
-    for layers, calls in ((SIGN_LAYERS, 2), (((1, 1),), 1)):
+    for products, calls in (((1, -1), 2), ((1,), 1)):
         seen.clear()
-        walked = list(_sweep(params, budget.n_a, budget.n_b, p_values, layers))
+        columns = _sweep(params, budget.n_a, budget.n_b, p_values, products)
         assert len(seen) == calls
-        assert [layer[:2] for layer in walked] == list(layers)
-        for sign_a, sign_b, rates in walked:
+        assert list(columns) == list(products)
+        # Each layer of a computed sign product, mirrors included.
+        for sign_a, sign_b in SIGN_LAYERS:
+            if sign_a * sign_b not in columns:
+                continue
             r_a = [sign_a * fraction_squeezing(p, budget.n_a) for p in p_values]
             r_b = [sign_b * fraction_squeezing(p, budget.n_b) for p in p_values]
             cells = _loop_grid(params, budget.n_a, budget.n_b, r_a, r_b)
-            assert _bits(rates) == _bits([[c[k] for c in cells] for k in (0, 2, 4)])
+            assert _bits(columns[sign_a * sign_b]) == \
+                _bits([[c[k] for c in cells] for k in (0, 2, 4)])
     seen.clear()
     squeeze_surface(params, budget, grid_n=3)
     optimize_squeezing(params, budget, Objective.MAX_RA, grid_n=3)
     assert len(seen) == 4
+
+
+@pytest.mark.parametrize("n_a,n_b,field", [
+    (4.5e307, 1.0, "n_a"), (1.0, 4.5e307, "n_b"), (1e308, 1.0, "n_a"), (1.0, 1e308, "n_b"),
+])
+def test_sweeps_reject_a_total_past_the_full_squeeze(n_a, n_b, field, monkeypatch):
+    # exp(2r) of the p = 1 squeeze overflows above about 4.49e307 photons:
+    # every sweep names the total before any kernel call.
+    seen = _counted_rate_columns(monkeypatch)
+    params, budget = ChannelParams(0.5, 0.9, 1.0), PhotonBudget(n_a, n_b)
+    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=3), field)]
+    sweeps += [(lambda o=o: optimize_squeezing(params, budget, o, grid_n=3), field)
+               for o in Objective]
+    # The scan's first split, s = 0, gives Bob the whole total.
+    sweeps.append((lambda: global_constraint_scan(params, max(n_a, n_b), 3, 3), "n_b"))
+    for sweep, name in sweeps:
+        with pytest.raises(InputError) as exc:
+            sweep()
+        assert exc.value.field == name
+        assert exc.value.message.startswith("a squeeze sweep needs a total below about 4.49e307")
+    assert seen == []
+    require_full_squeeze(4.4e307, 4.4e307)
