@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: rates, surface, region, asymptotics, optimize, verify.
+Subcommands: rates, surface, region, asymptotics, optimize, verify;
+``--version`` alone prints the package version.
 ``COMMANDS`` lists the flags each subcommand reads; all of them also take
 --out and --config, and any other flag is rejected.  A value comes from
 its flag, else from the config file, else from the built-in default in
@@ -25,7 +26,7 @@ import sys
 from dataclasses import asdict
 from typing import NamedTuple
 
-from . import asymptotics, region
+from . import __version__, asymptotics, region
 from .gaussian_core import (
     ChannelParams,
     InputError,
@@ -557,7 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian-input rates and capacity regions for a "
                     "two-transmitter lossy bosonic channel with thermal noise.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("--version", action="store_true",
+                        help="print the package version and exit")
+    # main requires a command unless --version is given.
+    sub = parser.add_subparsers(dest="command")
     for name, (_, help_text, keys) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for key in (*keys, "out"):
@@ -624,11 +628,18 @@ def _join_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_values(argv))
+    if args.command is None and not args.version:
+        parser.error("the following arguments are required: command")
     try:
-        opts = options_for(args)
-        text, failure = COMMANDS[args.command][0](opts)
-        write_output(text, opts["out"])
+        if args.version:
+            text, failure, out = f"{parser.prog} {__version__}\n", None, None
+        else:
+            opts = options_for(args)
+            text, failure = COMMANDS[args.command][0](opts)
+            out = opts["out"]
+        write_output(text, out)
     except InputError as exc:
         print(f"error: {FLAGS.get(exc.field, exc.field)}: {exc.message}", file=sys.stderr)
         return 2

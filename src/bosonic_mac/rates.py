@@ -94,12 +94,17 @@ def sum_rate(params: ChannelParams, budget: PhotonBudget):
     return _triple(params, budget)[2]
 
 
+#: The Branch member of each kernel branch flag (1 or 2), looked up
+#: rather than built by a Branch(...) call.
+_BRANCH = (None, Branch.ONE, Branch.TWO)
+
+
 def _triple(params: ChannelParams, budget: PhotonBudget):
     ra, br_a, rb, br_b, rab, br_ab = kernels.rate_triple(
         params.eta1, params.eta2, params.n_thermal,
         budget.n_a, budget.n_b, budget.r_a, budget.r_b,
     )
-    return (ra, Branch(br_a)), (rb, Branch(br_b)), (rab, Branch(br_ab))
+    return (ra, _BRANCH[br_a]), (rb, _BRANCH[br_b]), (rab, _BRANCH[br_ab])
 
 
 def rate_bundle(params: ChannelParams, budget: PhotonBudget) -> RateBundle:
@@ -157,21 +162,34 @@ def _require_receiver(params: ChannelParams, budget: PhotonBudget, receiver: Rec
         )
 
 
+def _receiver_rate(
+    params: ChannelParams, budget: PhotonBudget, receiver: Receiver, alice: bool, bob: bool
+) -> float:
+    """``receiver``'s rate with only the photons of the users flagged on,
+    unchecked.  A homodyne rate keeps both squeezing parameters, since a
+    user's squeezed quadrature adds measurement noise without photons."""
+    if receiver is Receiver.HETERODYNE:
+        return kernels.heterodyne_rate_raw(
+            params.eta1, params.eta2, params.n_thermal,
+            budget.n_a if alice else 0.0, budget.n_b if bob else 0.0,
+        )
+    return kernels.homodyne_rate_raw(
+        params.eta1, params.eta2, params.n_thermal,
+        budget.n_alpha if alice else 0.0, budget.n_beta if bob else 0.0,
+        budget.r_a, budget.r_b,
+    )
+
+
 def homodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
     """Single-quadrature detection sum rate for (possibly squeezed) inputs."""
     _require_receiver(params, budget, Receiver.HOMODYNE)
-    return kernels.homodyne_rate_raw(
-        params.eta1, params.eta2, params.n_thermal,
-        budget.n_alpha, budget.n_beta, budget.r_a, budget.r_b,
-    )
+    return _receiver_rate(params, budget, Receiver.HOMODYNE, True, True)
 
 
 def heterodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
     """Dual-quadrature detection sum rate; defined for coherent inputs only."""
     _require_receiver(params, budget, Receiver.HETERODYNE)
-    return kernels.heterodyne_rate_raw(
-        params.eta1, params.eta2, params.n_thermal, budget.n_a, budget.n_b
-    )
+    return _receiver_rate(params, budget, Receiver.HETERODYNE, True, True)
 
 
 def receiver_individual_rates(
@@ -184,29 +202,21 @@ def receiver_individual_rates(
     squeezed quadrature still contributes measurement noise.
     """
     _require_receiver(params, budget, receiver)
-    if receiver is Receiver.HETERODYNE:
-        n_a = budget.n_a if user is User.ALICE else 0.0
-        n_b = budget.n_b if user is User.BOB else 0.0
-        return kernels.heterodyne_rate_raw(
-            params.eta1, params.eta2, params.n_thermal, n_a, n_b
-        )
-    n_alpha = budget.n_alpha if user is User.ALICE else 0.0
-    n_beta = budget.n_beta if user is User.BOB else 0.0
-    return kernels.homodyne_rate_raw(
-        params.eta1, params.eta2, params.n_thermal,
-        n_alpha, n_beta, budget.r_a, budget.r_b,
-    )
+    return _receiver_rate(params, budget, receiver, user is User.ALICE, user is User.BOB)
 
 
 def receiver_rates(params: ChannelParams, budget: PhotonBudget, receiver: Receiver):
-    """(alice, bob, sum) rates of ``receiver``, or None where it is undefined."""
+    """(alice, bob, sum) rates of ``receiver``, or None where it is undefined.
+
+    Checks ``receiver`` once, then takes the three rates from the unchecked
+    body that ``receiver_individual_rates`` and the sum-rate functions share.
+    """
     try:
         _require_receiver(params, budget, receiver)
     except InputError:
         return None
-    sum_rate_of = heterodyne_sum_rate if receiver is Receiver.HETERODYNE else homodyne_sum_rate
     return (
-        receiver_individual_rates(params, budget, receiver, User.ALICE),
-        receiver_individual_rates(params, budget, receiver, User.BOB),
-        sum_rate_of(params, budget),
+        _receiver_rate(params, budget, receiver, True, False),
+        _receiver_rate(params, budget, receiver, False, True),
+        _receiver_rate(params, budget, receiver, True, True),
     )

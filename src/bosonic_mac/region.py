@@ -20,7 +20,7 @@ from .gaussian_core import (
     fraction_squeezing,
     require_full_squeeze,
 )
-from .rates import Receiver, User, outer_bound, rate_bundle, receiver_rates
+from .rates import Receiver, User, outer_bound, receiver_rates
 
 #: Quadrature orientation layers evaluated by surfaces and optimizers.
 #:
@@ -42,7 +42,7 @@ class Objective(enum.Enum):
     MAX_SUM = "max-sum"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatePoint:
     r_a: float
     r_b: float
@@ -52,7 +52,7 @@ class RatePoint:
             raise ValueError("rates must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pentagon:
     """Region cut out by R_A <= r_a_max, R_B <= r_b_max, R_A + R_B <= sum_max."""
 
@@ -64,30 +64,31 @@ class Pentagon:
     @classmethod
     def from_rates(cls, r_a_max: float, r_b_max: float, sum_max: float) -> "Pentagon":
         if sum_max >= r_a_max + r_b_max:
-            corners = [
+            corners = (
                 (0.0, 0.0),
                 (r_a_max, 0.0),
                 (r_a_max, r_b_max),
                 (0.0, r_b_max),
-            ]
+            )
         else:
-            corners = [
+            corners = (
                 (0.0, 0.0),
                 (r_a_max, 0.0),
                 (r_a_max, max(sum_max - r_a_max, 0.0)),
                 (max(sum_max - r_b_max, 0.0), r_b_max),
                 (0.0, r_b_max),
-            ]
+            )
+        # One vertex per run of equal corners, and none for a last corner
+        # that closes the chain on the first.
         vertices = []
-        for c in corners:
-            if not vertices or vertices[-1] != c:
-                vertices.append(c)
-        if len(vertices) > 1 and vertices[0] == vertices[-1]:
+        last = None
+        for corner in corners:
+            if corner != last:
+                vertices.append(RatePoint(*corner))
+                last = corner
+        if len(vertices) > 1 and last == corners[0]:
             vertices.pop()
-        return cls(
-            r_a_max, r_b_max, sum_max,
-            tuple(RatePoint(a, b) for a, b in vertices),
-        )
+        return cls(r_a_max, r_b_max, sum_max, tuple(vertices))
 
     def contains(self, point: RatePoint, tol: float = 1e-12) -> bool:
         return (
@@ -98,9 +99,13 @@ class Pentagon:
 
 
 def pentagon_at(params: ChannelParams, budget: PhotonBudget) -> Pentagon:
-    """Pentagon of one encoding, from the joint-detection maximum rates."""
-    bundle = rate_bundle(params, budget)
-    return Pentagon.from_rates(bundle.r_max_a, bundle.r_max_b, bundle.r_max_ab)
+    """Pentagon of one encoding, from the joint-detection maximum rates
+    of one direct ``kernels.rate_triple`` call, as in the sweeps."""
+    ra, _, rb, _, rab, _ = kernels.rate_triple(
+        params.eta1, params.eta2, params.n_thermal,
+        budget.n_a, budget.n_b, budget.r_a, budget.r_b,
+    )
+    return Pentagon.from_rates(ra, rb, rab)
 
 
 def _fractions(points: int) -> tuple:
@@ -280,21 +285,24 @@ def convex_hull(points):
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _chain(points):
+    """One monotone chain of ``points``: each point in turn, after popping
+    the chain's last point while the turn from the one before it through
+    that point to the new one is not counterclockwise (cross product <= 0)."""
+    chain = []
+    for p in points:
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -311,6 +319,13 @@ class RateRegion:
                 abs(point.r_a - pts[0][0]) <= tol
                 and abs(point.r_b - pts[0][1]) <= tol
             )
+        if len(pts) == 2:
+            # Both edges of a segment accept every point of its line; the
+            # point must also lie within the segment's extent.
+            (x0, y0), (x1, y1) = pts
+            if not (min(x0, x1) - tol <= point.r_a <= max(x0, x1) + tol
+                    and min(y0, y1) - tol <= point.r_b <= max(y0, y1) + tol):
+                return False
         for i in range(len(pts)):
             ox, oy = pts[i]
             ax, ay = pts[(i + 1) % len(pts)]
@@ -339,25 +354,28 @@ def build_region(params: ChannelParams, budget: PhotonBudget, encodings) -> Regi
     """Union of per-encoding pentagons, closed convexly.
 
     ``encodings`` is a sequence of (r_a, r_b) squeezing pairs applied to
-    the photon totals of ``budget``.  Receiver curves are the pentagons
-    induced by the per-user and sum receiver capacities of the coherent
-    encoding; the outer-bound box ignores the inter-user coupling.
+    the photon totals of ``budget``.  Each encoding is validated by building
+    its PhotonBudget, which raises InputError for an unaffordable one, and
+    gives its pentagon through ``pentagon_at``.  The hull keeps the
+    pentagons' own vertex objects, the first one of each rate pair.
+    Receiver curves are the pentagons induced by the per-user and sum
+    receiver capacities of the coherent encoding; the outer-bound box
+    ignores the inter-user coupling.
     """
     encodings = tuple((float(ra), float(rb)) for ra, rb in encodings)
     if not encodings:
         raise ValueError("encodings must not be empty")
+    n_a, n_b = budget.n_a, budget.n_b
     pentagons = []
-    vertices = []
+    vertices = {}  # (r_a, r_b) -> the first RatePoint at it
     for r_a, r_b in encodings:
-        pent = pentagon_at(params, PhotonBudget(budget.n_a, budget.n_b, r_a, r_b))
+        pent = pentagon_at(params, PhotonBudget(n_a, n_b, r_a, r_b))
         pentagons.append(((r_a, r_b), pent))
-        vertices.extend((v.r_a, v.r_b) for v in pent.vertices)
-    hull = convex_hull(vertices)
-    region = RateRegion(
-        tuple(RatePoint(a, b) for a, b in hull), encodings
-    )
+        for v in pent.vertices:
+            vertices.setdefault((v.r_a, v.r_b), v)
+    region = RateRegion(tuple(vertices[p] for p in convex_hull(vertices)), encodings)
 
-    coherent = PhotonBudget(budget.n_a, budget.n_b)
+    coherent = PhotonBudget(n_a, n_b)
     het = _receiver_pentagon(params, coherent, Receiver.HETERODYNE)
     hom = _receiver_pentagon(params, coherent, Receiver.HOMODYNE)
     box = (

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bosonic_mac
 from bosonic_mac import _kernels as kernels
 from bosonic_mac import cli
 
@@ -654,6 +655,24 @@ class TestConfigAndOutput:
         code, _, err = run(["rates", "--out", "/no/such/dir/out.json"], capsys)
         assert code == 3
         assert "/no/such/dir/out.json" in err
+
+
+class TestVersion:
+    def test_prints_the_package_version(self, capsys):
+        assert run(["--version"], capsys) == (0, "bosonic-mac 0.1.0\n", "")
+        pyproject = (README.parent / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.+)"$', pyproject, re.MULTILINE)[1] == bosonic_mac.__version__
+
+    def test_goes_through_the_output_stage(self, monkeypatch, capsys):
+        written = []
+        monkeypatch.setattr(cli, "write_output", lambda text, out: written.append((text, out)))
+        assert run(["--version"], capsys)[0] == 0
+        assert written == [(f"bosonic-mac {bosonic_mac.__version__}\n", None)]
+
+    def test_a_command_is_still_required_without_it(self, capsys):
+        code, out, err = run([], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: command\n")
 
 
 # Exit-4 reasons as a user sees them: a fresh interpreter, with the log

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bosonic_mac import (
     Branch,
     ChannelParams,
     CovMatrix2,
+    InputError,
     PhotonBudget,
     Receiver,
     SqueezeFractions,
@@ -32,8 +34,9 @@ from bosonic_mac import (
     sum_rate_capacity_coherent,
 )
 from bosonic_mac import _kernels
-from bosonic_mac.rates import big_g12_simplified
-from bosonic_mac.verification import branch_crossing
+from bosonic_mac.network import mac_input_ensemble, mac_network, propagate
+from bosonic_mac.rates import big_g12_simplified, receiver_rates
+from bosonic_mac.verification import branch_crossing, check_covariance_oracle
 
 mp.dps = 40
 
@@ -423,3 +426,159 @@ class TestReceiverRates:
             s, _ = sum_rate(params, budget)
             assert heterodyne_sum_rate(params, budget) <= s + 1e-9
             assert homodyne_sum_rate(params, budget) <= s + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The lean point paths against their definitions, bit for bit.
+
+def _hex(values):
+    return None if values is None else [float(v).hex() for v in values]
+
+
+def _receiver_reference(params, budget, receiver):
+    """(alice, bob, sum) from the public per-user and sum functions."""
+    sum_rate_of = heterodyne_sum_rate if receiver is Receiver.HETERODYNE else homodyne_sum_rate
+    try:
+        return (
+            receiver_individual_rates(params, budget, receiver, User.ALICE),
+            receiver_individual_rates(params, budget, receiver, User.BOB),
+            sum_rate_of(params, budget),
+        )
+    except InputError:
+        return None
+
+
+def test_receiver_rates_match_the_per_user_and_sum_functions():
+    rng = np.random.default_rng(141)
+    undefined = 0
+    for _ in range(3000):
+        eta1, eta2 = (float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])) for _ in range(2))
+        params = ChannelParams(eta1, eta2, float(rng.choice([0.0, rng.uniform(0, 5)])))
+        budget = random_budget(rng) if rng.random() < 0.6 else PhotonBudget(
+            *(float(rng.choice([0.0, rng.uniform(0, 20)])) for _ in range(2)))
+        for receiver in Receiver:
+            got = receiver_rates(params, budget, receiver)
+            assert _hex(got) == _hex(_receiver_reference(params, budget, receiver))
+            undefined += got is None
+    assert undefined > 0
+
+
+def test_rate_bundle_branches_are_the_branch_members():
+    rng = np.random.default_rng(142)
+    seen = set()
+    for _ in range(500):
+        params, budget = random_channel(rng), random_budget(rng)
+        bundle = rate_bundle(params, budget)
+        branches = (
+            bundle.branch_a, bundle.branch_b, bundle.branch_ab,
+            individual_rate(params, budget, User.ALICE)[1],
+            individual_rate(params, budget, User.BOB)[1],
+            sum_rate(params, budget)[1],
+        )
+        for branch in branches:
+            assert branch is Branch.ONE or branch is Branch.TWO
+        assert branches[:3] == branches[3:]
+        seen.update(branches)
+    assert seen == {Branch.ONE, Branch.TWO}
+
+
+def _scalar_oracle(seed, draws):
+    """check_covariance_oracle with one scalar draw at a time: each case's
+    drawn values and the worst relative error."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    cases = []
+    for _ in range(draws):
+        params = ChannelParams(
+            eta1=float(rng.uniform(0.02, 0.98)),
+            eta2=float(rng.uniform(0.02, 0.98)),
+            n_thermal=float(rng.uniform(0.0, 5.0)),
+        )
+        r_a = float(rng.uniform(-3.0, 3.0))
+        r_b = float(rng.uniform(-3.0, 3.0))
+        budget = PhotonBudget(
+            squeezing_cost(r_a) + float(rng.uniform(0.0, 10.0)),
+            squeezing_cost(r_b) + float(rng.uniform(0.0, 10.0)),
+            r_a,
+            r_b,
+        )
+        closed = receiver_covariance(budget, params)
+        eta3 = float(rng.uniform(0.0, 1.0))
+        net = mac_network(params, eta3=eta3)
+        oracle = propagate(net, mac_input_ensemble(params, budget)).receiver_covariance()
+        err = max(
+            abs(closed.v11 - oracle.v11), abs(closed.v22 - oracle.v22), abs(oracle.v12)
+        ) / max(closed.v11, closed.v22)
+        worst = max(worst, err)
+        cases.append(_hex((*astuple(params), *astuple(budget), eta3)))
+    return cases, worst
+
+
+@pytest.mark.parametrize("draws", [0, 1, 100])
+def test_covariance_oracle_matches_scalar_draws(draws, monkeypatch):
+    from bosonic_mac import verification
+
+    cases = []
+
+    def recording_network(params, eta3):
+        cases.append((params, eta3))
+        return mac_network(params, eta3=eta3)
+
+    def recording_ensemble(params, budget):
+        params, eta3 = cases.pop()
+        cases.append(_hex((*astuple(params), *astuple(budget), eta3)))
+        return mac_input_ensemble(params, budget)
+
+    monkeypatch.setattr(verification, "mac_network", recording_network)
+    monkeypatch.setattr(verification, "mac_input_ensemble", recording_ensemble)
+    for seed in range(20):
+        cases.clear()
+        result = check_covariance_oracle(seed, draws)
+        want_cases, want_worst = _scalar_oracle(seed, draws)
+        assert cases == want_cases
+        assert result.details["max_relative_error"].hex() == want_worst.hex()
+        assert result.details["draws"] == draws
+
+
+def test_covariance_oracle_without_draws_is_empty():
+    result = check_covariance_oracle(0, -3)
+    assert result.details["max_relative_error"] == 0.0
+    assert result.passed
+
+
+def _bisect_200(params, n_a, n_b, r_b):
+    """branch_crossing with all 200 bisection steps."""
+
+    def gap(r_a):
+        v1, v2 = _kernels.receiver_variances(
+            params.eta1, params.eta2, params.n_thermal, r_a, r_b
+        )
+        return params.eta1 * params.eta2 * _kernels.displacement_photons(n_a, r_a) - abs(v1 - v2)
+
+    lo, hi = 0.0, math.asinh(math.sqrt(n_a))
+    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_branch_crossing_matches_the_200_step_bisection():
+    rng = np.random.default_rng(143)
+    found = 0
+    for _ in range(400):
+        params = random_channel(rng)
+        n_a = float(rng.uniform(0.0, 20.0))
+        r_b = float(rng.uniform(-2.0, 2.0))
+        n_b = squeezing_cost(r_b) + float(rng.uniform(0.0, 5.0))
+        got = branch_crossing(params, n_a, n_b, r_b)
+        want = _bisect_200(params, n_a, n_b, r_b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert got.hex() == want.hex()
+    assert found > 50

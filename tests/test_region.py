@@ -12,12 +12,19 @@ from bosonic_mac import (
     Pentagon,
     PhotonBudget,
     RatePoint,
+    RateRegion,
+    Receiver,
     User,
     build_region,
     global_constraint_scan,
+    heterodyne_sum_rate,
+    homodyne_sum_rate,
     individual_rate,
     optimize_squeezing,
+    outer_bound,
     pentagon_at,
+    rate_bundle,
+    receiver_individual_rates,
     squeeze_surface,
 )
 from bosonic_mac import _kernels as kernels
@@ -27,6 +34,7 @@ from bosonic_mac.region import (
     OPTIMIZE_TOL,
     SIGN_LAYERS,
     OptimizeResult,
+    RegionData,
     _fractions,
     _sweep,
     convex_hull,
@@ -49,6 +57,32 @@ class TestPentagon:
         assert [(v.r_a, v.r_b) for v in pent.vertices] == [
             (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
         ]
+
+    def test_from_rates_matches_the_corner_list_definition(self):
+        def reference(r_a_max, r_b_max, sum_max):
+            if sum_max >= r_a_max + r_b_max:
+                corners = [(0.0, 0.0), (r_a_max, 0.0), (r_a_max, r_b_max), (0.0, r_b_max)]
+            else:
+                corners = [(0.0, 0.0), (r_a_max, 0.0), (r_a_max, max(sum_max - r_a_max, 0.0)),
+                           (max(sum_max - r_b_max, 0.0), r_b_max), (0.0, r_b_max)]
+            vertices = []
+            for c in corners:
+                if not vertices or vertices[-1] != c:
+                    vertices.append(c)
+            if len(vertices) > 1 and vertices[0] == vertices[-1]:
+                vertices.pop()
+            return vertices
+
+        rng = random.Random(16)
+        values = (0.0, 0.5, 1.0, 1.5, 2.0)
+        cases = [(a, b, s) for a in values for b in values for s in values]
+        cases += [(rng.random(), rng.random(), 2.0 * rng.random()) for _ in range(1000)]
+        for a, b, s in cases:
+            pent = Pentagon.from_rates(a, b, s)
+            assert [(v.r_a, v.r_b) for v in pent.vertices] == reference(a, b, s), (a, b, s)
+            assert all(type(v) is RatePoint for v in pent.vertices)
+        assert Pentagon.from_rates(1.0, 0.0, 1.0).vertices == (RatePoint(0.0, 0.0),
+                                                              RatePoint(1.0, 0.0))
 
     def test_vertex_sums_within_sum_max(self):
         rng = np.random.default_rng(41)
@@ -514,3 +548,170 @@ def test_sweeps_reject_a_total_past_the_full_squeeze(n_a, n_b, field, monkeypatc
         assert exc.value.message.startswith("a squeeze sweep needs a total below about 4.49e307")
     assert seen == []
     require_full_squeeze(4.4e307, 4.4e307)
+
+
+# ---------------------------------------------------------------------------
+# build_region and convex_hull against their definitions, bit for bit.
+
+def _reference_hull(points):
+    """Andrew monotone chain with a cross call per comparison."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _pentagon_bits(pent):
+    if pent is None:
+        return None
+    return _bits((pent.r_a_max, pent.r_b_max, pent.sum_max, len(pent.vertices),
+                  [(v.r_a, v.r_b) for v in pent.vertices]))
+
+
+def _receiver_reference(params, budget, receiver):
+    sum_rate_of = heterodyne_sum_rate if receiver is Receiver.HETERODYNE else homodyne_sum_rate
+    try:
+        return Pentagon.from_rates(
+            receiver_individual_rates(params, budget, receiver, User.ALICE),
+            receiver_individual_rates(params, budget, receiver, User.BOB),
+            sum_rate_of(params, budget),
+        )
+    except InputError:
+        return None
+
+
+def _region_bits(data):
+    return (
+        _bits([(v.r_a, v.r_b) for v in data.region.hull]),
+        len(data.region.hull),
+        _bits(list(data.region.provenance)),
+        [(_bits(enc), _pentagon_bits(p)) for enc, p in data.pentagons],
+        _pentagon_bits(data.heterodyne),
+        _pentagon_bits(data.homodyne),
+        _bits(data.outer_bound),
+    )
+
+
+def _reference_region(params, budget, encodings):
+    """build_region from its definition: pentagon_at per encoding, the hull
+    of every vertex tuple, fresh RatePoints, the receiver pentagons of the
+    per-user and sum functions."""
+    encodings = tuple((float(ra), float(rb)) for ra, rb in encodings)
+    pentagons = [
+        ((ra, rb), pentagon_at(params, PhotonBudget(budget.n_a, budget.n_b, ra, rb)))
+        for ra, rb in encodings
+    ]
+    hull = _reference_hull([(v.r_a, v.r_b) for _, p in pentagons for v in p.vertices])
+    region = RateRegion(tuple(RatePoint(a, b) for a, b in hull), encodings)
+    coherent = PhotonBudget(budget.n_a, budget.n_b)
+    return RegionData(
+        region, tuple(pentagons),
+        _receiver_reference(params, coherent, Receiver.HETERODYNE),
+        _receiver_reference(params, coherent, Receiver.HOMODYNE),
+        (outer_bound(params, budget, User.ALICE), outer_bound(params, budget, User.BOB)),
+    )
+
+
+def _region_outcome(fn):
+    try:
+        return _region_bits(fn())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_build_region_matches_its_definition():
+    rng = random.Random(14)
+    eta = lambda: rng.choice((0.0, 1.0, rng.random(), rng.random()))  # noqa: E731
+    photons = lambda: rng.choice((0.0, rng.uniform(0.0, 20.0), 10.0 ** rng.uniform(-6, 6)))  # noqa: E731
+    squeeze = lambda n: math.copysign(  # noqa: E731
+        fraction_squeezing(rng.choice((0.0, 1.0, rng.random())), n), rng.choice((-1, 1)))
+    for _ in range(2000):
+        params = ChannelParams(eta(), eta(), rng.choice((0.0, rng.uniform(0.0, 5.0))))
+        n_a, n_b = photons(), photons()
+        encodings = [(squeeze(n_a), squeeze(n_b)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            encodings.append(rng.choice(encodings))  # a repeated encoding
+        budget = PhotonBudget(n_a, n_b)
+        assert _region_outcome(lambda: build_region(params, budget, encodings)) == \
+            _region_outcome(lambda: _reference_region(params, budget, encodings))
+
+
+def test_pentagon_at_matches_rate_bundle():
+    rng = random.Random(16)
+    for _ in range(2000):
+        params = ChannelParams(*(rng.choice((0.0, 1.0, rng.random())) for _ in range(2)),
+                               rng.choice((0.0, rng.uniform(0.0, 5.0))))
+        n_a, n_b = (rng.choice((0.0, 10.0 ** rng.uniform(-6, 6))) for _ in range(2))
+        budget = PhotonBudget(n_a, n_b, *(
+            math.copysign(fraction_squeezing(rng.choice((0.0, 1.0, rng.random())), n),
+                          rng.choice((-1, 1)))
+            for n in (n_a, n_b)))
+        bundle = rate_bundle(params, budget)
+        assert _pentagon_bits(pentagon_at(params, budget)) == _pentagon_bits(
+            Pentagon.from_rates(bundle.r_max_a, bundle.r_max_b, bundle.r_max_ab))
+
+
+def test_build_region_hull_reuses_the_first_pentagon_vertex():
+    params, budget = ChannelParams(0.5, 0.9, 1.0), PhotonBudget(2.0, 3.0)
+    data = build_region(params, budget, [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0)])
+    first = {}
+    for _, pent in data.pentagons:
+        for v in pent.vertices:
+            first.setdefault((v.r_a, v.r_b), v)
+    for v in data.region.hull:
+        assert v is first[(v.r_a, v.r_b)]
+
+
+def test_convex_hull_matches_the_cross_call_chain():
+    rng = random.Random(15)
+    for _ in range(2000):
+        grid = rng.choice((None, 4))  # a coarse grid gives collinear and repeated points
+        pts = [
+            (float(rng.randrange(grid)), float(rng.randrange(grid))) if grid
+            else (rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0))
+            for _ in range(rng.randint(0, 12))
+        ]
+        assert _bits(convex_hull(pts)) == _bits(_reference_hull(pts))
+
+
+# ---------------------------------------------------------------------------
+# RateRegion.contains on a hull of two vertices.
+
+def test_segment_hull_contains_only_its_segment():
+    data = build_region(ChannelParams(0.5, 0.9, 1.0), PhotonBudget(2.0, 0.0), [(0, 0)])
+    (x0, y0), (x1, y1) = [(v.r_a, v.r_b) for v in data.region.hull]
+    assert (x0, y0, y1) == (0.0, 0.0, 0.0) and x1 == pytest.approx(1.5166, abs=1e-4)
+    region, tol = data.region, 1e-9
+    assert not region.contains(RatePoint(7.58, 0.0))
+    assert not region.contains(RatePoint(x1 + 4 * tol, 0.0))
+    assert region.contains(RatePoint(x1 + tol / 4, 0.0))
+    assert region.contains(RatePoint(x1 / 2, 0.0))
+    assert region.contains(RatePoint(0.0, 0.0))
+    assert not region.contains(RatePoint(x1 / 2, 4 * tol))
+
+
+def test_segment_hull_both_sides_of_each_end():
+    tol = 1e-9
+    ends = ((1.0, 2.0), (3.0, 2.5))
+    region = RateRegion(tuple(RatePoint(*e) for e in ends), ())
+    (x0, y0), (x1, y1) = ends
+    length = math.hypot(x1 - x0, y1 - y0)
+    ux, uy = (x1 - x0) / length, (y1 - y0) / length
+    for (ex, ey), outward in ((ends[0], -1.0), (ends[1], 1.0)):
+        for step, inside in ((tol / 4, True), (4 * tol, False), (-4 * tol, True), (-0.5, True)):
+            point = RatePoint(ex + outward * step * ux, ey + outward * step * uy)
+            assert region.contains(point, tol) is inside, (ex, ey, step)
