@@ -21,7 +21,8 @@ each column once, and every cell then adds them in the association
 ``receiver_variances`` uses, so each cell equals ``rate_triple`` bit for
 bit.  Both evaluate a cell's rates with ``_triple``, which calls only
 math functions on the common path.  ``rate_columns`` gives the same grid
-as three rate columns without the branch flags, for the squeeze sweeps:
+as three rate columns without the branch flags, or as the two individual
+ones alone, for the squeeze sweeps:
 it writes ``_triple`` out in its cell loop, the same operations in the
 same order, so these two bodies hold the piecewise rule, and the tests
 pin each to the other and to its pieces.  The pieces ``big_g2_raw``,
@@ -227,11 +228,13 @@ def rate_grid(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
     return cells
 
 
-def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
+def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True):
     """The three rate columns of ``rate_grid``, without its branch flags:
     lists ``(r_max_a, r_max_b, r_max_ab)`` in row-major order, each value
     bit for bit ``rate_grid``'s, and an input error of the same type from
-    the same cell.
+    the same cell.  With ``sum_column`` false the sum rates are skipped,
+    ``r_max_ab`` is None and only an error of the individual rates can
+    come up.
 
     The squeeze sweeps keep only rates, so this is ``rate_grid`` with
     ``_triple`` written out in the cell loop: the same operations in the
@@ -243,8 +246,10 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
     wa = eta1 * eta2
     wb = (1.0 - eta1) * eta2
     columns = []
-    out_a, out_b, out_ab = [], [], []
-    put_a, put_b, put_ab = out_a.append, out_b.append, out_ab.append
+    out_a, out_b = [], []
+    out_ab = [] if sum_column else None
+    put_a, put_b = out_a.append, out_b.append
+    put_ab = out_ab.append if sum_column else None
     for r_a in r_a_values:
         a1 = wa * math.exp(2.0 * r_a)
         a2 = wa * math.exp(-2.0 * r_a)
@@ -302,6 +307,8 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
                 rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
                 put_b(rate if rate > 0.0 else 0.0)
 
+            if put_ab is None:
+                continue
             n = nca + ncb
             if n >= diff:
                 x = v_sum + n - 0.5

@@ -10,15 +10,19 @@ and choice check.  A config file may hold any key of ``OPTIONS``; a
 subcommand ignores the keys it does not read, so one file serves all.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
-info, debug).  A subcommand returns its text and the reason for a
-verification failure, or None; ``main`` alone writes the text and decides
-every exit code: 0 success, 2 bad input (the message names the flag), 3
-I/O failure, 4 verification failure (its reason is logged as an error, so
-it shows at every level).  Any other exception is a bug and surfaces as
-a traceback.  Identical configuration and seed give byte-identical output.
+info, debug).  A subcommand returns its text, a str or, for a surface,
+chunks whose numbers are already checked, and the reason for a
+verification failure, or None; ``main`` alone writes the text, chunk by
+chunk, and decides every exit code: 0 success, 2 bad input (the message
+names the flag), 3 I/O failure, 4 verification failure (its reason is
+logged as an error, so it shows at every level).  Any other exception is
+a bug and surfaces as a traceback.  Identical configuration and seed give
+byte-identical output.
 """
 
 import argparse
+import contextlib
+import itertools
 import logging
 import math
 import os
@@ -58,39 +62,47 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _surface_blocks(surface, sep: str, row_sep: str, start: str, end: str) -> list:
+def _surface_blocks(surface, sep: str, row_sep: str, start: str, end: str):
     """The long-format rows of ``surface`` as text, one block per grid row
     of each layer in output order.  Each row is ``start``, its six values
     joined by ``sep``, then ``end``; rows are joined by ``row_sep``.
 
     The text equals the rows written value by value, but each p value is
     formatted once, and the rate pairs of a mirrored layer's shared columns
-    (see region.SIGN_LAYERS) once for both layers.  Raises CliError for
-    the first inf or nan in output order.
+    (see region.SIGN_LAYERS) once for both layers.  Every rate pair is
+    checked and formatted here, raising CliError for the first inf or nan
+    in output order; the returned iterator only joins blocks, so a caller
+    can write each block as it comes without holding the whole text.
     """
-    g = surface.grid_n
-    p_text = ["%.17g" % p for p in surface.p_values]
     pair_template = f"%.17g{sep}%.17g{end}"
     pairs = {}  # id of an r_max_a column -> its rows' formatted rate pairs
-    blocks = []
-    items = [None] * (3 * g)  # per row: separator and p_a, p_b and signs, rate pair
-    for sign_a, sign_b, ra, rb in surface.layers:
+    for _, _, ra, rb in surface.layers:
         if id(ra) not in pairs:
+            if not (all(map(math.isfinite, ra)) and all(map(math.isfinite, rb))):
+                for a, b in zip(ra, rb):
+                    _fmt_float(a)
+                    _fmt_float(b)
             pairs[id(ra)] = [pair_template % pair for pair in zip(ra, rb)]
+    return _join_blocks(surface, pairs, sep, row_sep, start)
+
+
+def _join_blocks(surface, pairs: dict, sep: str, row_sep: str, start: str):
+    """Yield the row blocks of ``_surface_blocks`` from the formatted pairs."""
+    g = surface.grid_n
+    p_text = ["%.17g" % p for p in surface.p_values]
+    items = [None] * (3 * g)  # per row: separator and p_a, p_b and signs, rate pair
+    first = True
+    for sign_a, sign_b, ra, _ in surface.layers:
         texts = pairs[id(ra)]
         items[1::3] = [f"{sep}{p}{sep}{sign_a:d}{sep}{sign_b:d}{sep}" for p in p_text]
         for i, p in enumerate(p_text):
             items[0::3] = [row_sep + start + p] * g
             items[2::3] = texts[i * g:(i + 1) * g]
             block = "".join(items)
-            # "n" is in inf and nan only, so a clean block needs no check.
-            if "n" in block:
-                for k in range(i * g, (i + 1) * g):
-                    _fmt_float(ra[k])
-                    _fmt_float(rb[k])
-            blocks.append(block)
-    blocks[0] = blocks[0][len(row_sep):]
-    return blocks
+            if first:
+                block = block[len(row_sep):]
+                first = False
+            yield block
 
 
 def _json_write(obj, out: list) -> None:
@@ -117,7 +129,7 @@ def _json_write(obj, out: list) -> None:
         out.append("}")
     elif isinstance(obj, region.SqueezeSurface):
         out.append("[")
-        out.extend(_surface_blocks(obj, ", ", ", ", "[", "]"))
+        out.append(_surface_blocks(obj, ", ", ", ", "[", "]"))
         out.append("]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
@@ -130,18 +142,31 @@ def _json_write(obj, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj) -> str:
+def _chunks(parts: list):
+    """``parts`` as one str or, when one part is the block iterator of a
+    surface (``_surface_blocks``), as chunks: the text before it, its
+    blocks, then the text after it."""
+    k = next((i for i, part in enumerate(parts) if not isinstance(part, str)), None)
+    if k is None:
+        return "".join(parts)
+    return itertools.chain(("".join(parts[:k]),), parts[k], ("".join(parts[k + 1:]),))
+
+
+def dumps_json(obj):
+    """JSON text of ``obj``: a str, or chunks (see ``_chunks``) when it
+    holds a SqueezeSurface."""
     out: list = []
     _json_write(obj, out)
     out.append("\n")
-    return "".join(out)
+    return _chunks(out)
 
 
-def dumps_csv(header, rows) -> str:
-    """CSV text of a header and rows; ``rows`` may be a SqueezeSurface,
-    whose long-format rows are written from its columns."""
+def dumps_csv(header, rows):
+    """CSV text of a header and rows: a str, or, when ``rows`` is a
+    SqueezeSurface, chunks (see ``_chunks``) of its long-format rows,
+    written from its columns."""
     if isinstance(rows, region.SqueezeSurface):
-        return "".join([",".join(header), "\n", *_surface_blocks(rows, ",", "\n", "", ""), "\n"])
+        return _chunks([",".join(header), "\n", _surface_blocks(rows, ",", "\n", "", ""), "\n"])
 
     def cell(v):
         if isinstance(v, bool):
@@ -157,16 +182,29 @@ def dumps_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_output(text: str, out_path: str | None) -> None:
+def write_output(text: str, sink) -> None:
+    """Write one chunk of a command's text to ``sink``, an open file, or to
+    stdout when it is None."""
+    (sys.stdout if sink is None else sink).write(text)
+
+
+def _emit(text, out_path: str | None) -> None:
+    """Write a command's text, a str or an iterable of str chunks, to
+    ``out_path`` or, when it is None, to stdout, one ``write_output`` call
+    per chunk.  The file is opened only here, after the command has
+    checked every number, so an exit-3 number leaves it unwritten."""
+    chunks = (text,) if isinstance(text, str) else text
+    size = count = 0
     try:
-        if out_path is None:
-            sys.stdout.write(text)
-            return
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with (contextlib.nullcontext() if out_path is None
+              else open(out_path, "w", encoding="utf-8", newline="")) as sink:
+            for chunk in chunks:
+                write_output(chunk, sink)
+                size += len(chunk) if chunk.isascii() else len(chunk.encode("utf-8"))
+                count += 1
     except OSError as exc:
         raise CliError(f"{out_path or 'stdout'}: {exc}") from exc
-    log.info("wrote %s", out_path)
+    log.info("wrote %d bytes in %d chunks to %s", size, count, out_path or "stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +394,10 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 
 #: Largest --grid.  A surface computes 2 * grid**2 cells and writes
-#: 4 * grid**2 rows; at 513 the command peaks at about 215 MB with CSV
-#: output (70 MB of text) and 230 MB with JSON (79 MB) (Python 3.11,
-#: 64-bit Linux).
+#: 4 * grid**2 rows, one grid row of one layer per write; at 513 the
+#: command peaks at about 115 MB with CSV output (70 MB of text) and with
+#: JSON (79 MB), mostly the rate columns and their formatted pairs
+#: (Python 3.11, 64-bit Linux).
 MAX_GRID = 513
 
 #: Largest --draws.  The Monte-Carlo check holds 100 * draws samples at
@@ -412,7 +451,10 @@ def cmd_region(opts: dict) -> tuple:
     try:
         data = region.build_region(params, budget, encodings)
     except InputError as exc:
-        # Only the encodings' budgets are new to build_region.
+        # The encodings' squeezings are new to build_region; the totals
+        # passed budget_from and keep their own flags.
+        if exc.field not in ("r_a", "r_b"):
+            raise
         raise InputError("encoding", str(exc)) from None
     doc = {
         "channel": asdict(params),
@@ -639,7 +681,7 @@ def main(argv=None) -> int:
             opts = options_for(args)
             text, failure = COMMANDS[args.command][0](opts)
             out = opts["out"]
-        write_output(text, out)
+        _emit(text, out)
     except InputError as exc:
         print(f"error: {FLAGS.get(exc.field, exc.field)}: {exc.message}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ boundary.
 """
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 
@@ -180,10 +181,29 @@ def _receiver_rate(
     )
 
 
+def _require_finite(rate: float, params: ChannelParams, budget: PhotonBudget,
+                    receiver: Receiver, alice: bool, bob: bool) -> float:
+    """``rate``, ``receiver``'s defined rate with the photons of the users
+    flagged on, or InputError naming the total that makes it non-finite:
+    ``n_a`` when Alice's photons are on and overflow alone, else ``n_b``.
+    Only the homodyne photon term 4 (n_alpha + n_beta (1 - eta1) / eta1)
+    can overflow."""
+    if math.isfinite(rate):
+        return rate
+    alice_alone = alice and not (
+        bob and math.isfinite(_receiver_rate(params, budget, receiver, True, False)))
+    raise InputError(
+        "n_a" if alice_alone else "n_b",
+        f"the {receiver.value} rate for n_a={budget.n_a}, n_b={budget.n_b} is not finite: "
+        "its photon term 4 * (n_alpha + n_beta * (1 - eta1) / eta1) overflows",
+    )
+
+
 def homodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
     """Single-quadrature detection sum rate for (possibly squeezed) inputs."""
     _require_receiver(params, budget, Receiver.HOMODYNE)
-    return _receiver_rate(params, budget, Receiver.HOMODYNE, True, True)
+    rate = _receiver_rate(params, budget, Receiver.HOMODYNE, True, True)
+    return _require_finite(rate, params, budget, Receiver.HOMODYNE, True, True)
 
 
 def heterodyne_sum_rate(params: ChannelParams, budget: PhotonBudget) -> float:
@@ -202,7 +222,9 @@ def receiver_individual_rates(
     squeezed quadrature still contributes measurement noise.
     """
     _require_receiver(params, budget, receiver)
-    return _receiver_rate(params, budget, receiver, user is User.ALICE, user is User.BOB)
+    alice, bob = user is User.ALICE, user is User.BOB
+    rate = _receiver_rate(params, budget, receiver, alice, bob)
+    return _require_finite(rate, params, budget, receiver, alice, bob)
 
 
 def receiver_rates(params: ChannelParams, budget: PhotonBudget, receiver: Receiver):
@@ -210,13 +232,17 @@ def receiver_rates(params: ChannelParams, budget: PhotonBudget, receiver: Receiv
 
     Checks ``receiver`` once, then takes the three rates from the unchecked
     body that ``receiver_individual_rates`` and the sum-rate functions share.
+    The sum rate is finite only when all three are, so its check alone
+    raises the InputError of ``_require_finite`` for an overflowing budget.
     """
     try:
         _require_receiver(params, budget, receiver)
     except InputError:
         return None
-    return (
+    rates = (
         _receiver_rate(params, budget, receiver, True, False),
         _receiver_rate(params, budget, receiver, False, True),
         _receiver_rate(params, budget, receiver, True, True),
     )
+    _require_finite(rates[2], params, budget, receiver, True, True)
+    return rates

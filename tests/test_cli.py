@@ -12,7 +12,7 @@ import pytest
 
 import bosonic_mac
 from bosonic_mac import _kernels as kernels
-from bosonic_mac import cli
+from bosonic_mac import cli, region
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,6 +41,12 @@ BAD_INPUTS = [
     (["region", "--encoding", "nan,0"], "encoding"),
     (["region", "--encoding", "5,0"], "encoding"),
     (["region", "--na", "1e308", "--encoding=355,0"], "encoding"),
+    # The homodyne rate's photon term 4 * (n_alpha + n_beta * (1 - eta1) / eta1)
+    # overflows: Alice's photons alone, or with Bob's.
+    (["rates", "--na", "1e308", "--nb", "1e308"], "na"),
+    (["rates", "--ra", "354.8", "--na", "1e308"], "na"),
+    (["region", "--na", "1e308", "--nb", "1e308"], "na"),
+    (["rates", "--na", "3e307", "--nb", "3e307"], "nb"),
     (["asymptotics", "--lemma", "1", "--kappa", "5"], "kappa"),
     (["asymptotics", "--eta1", "0"], "eta1"),
     (["asymptotics", "--eta1", "1e-20"], "eta1"),
@@ -319,6 +325,74 @@ def test_surface_bytes_are_pinned(fmt, capsys):
     code, out, _ = run(SURFACE_9 + ["--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SURFACE_9_SHA256[fmt]
+
+
+def _surface_text_value_by_value(opts: dict) -> str:
+    """The surface text as the serializer wrote it before the rows were
+    streamed in blocks: one row template per long-format row."""
+    params, budget = cli.channel_from(opts), cli.budget_from(opts)
+    rows = region.squeeze_surface(params, budget, grid_n=opts["grid"]).rows()
+    if opts["format"] != "json":
+        return "".join(["p_A,p_B,sign_A,sign_B,r_max_a,r_max_b\n",
+                        *("%.17g,%.17g,%d,%d,%.17g,%.17g\n" % row for row in rows)])
+    head = ('{"channel": {"eta1": %.17g, "eta2": %.17g, "n_thermal": %.17g}, '
+            '"budget": {"n_a": %.17g, "n_b": %.17g}, "grid": %d, '
+            '"columns": ["p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b"], "rows": [') % (
+        params.eta1, params.eta2, params.n_thermal, budget.n_a, budget.n_b, opts["grid"])
+    return head + ", ".join("[%.17g, %.17g, %d, %d, %.17g, %.17g]" % row for row in rows) + "]}\n"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("grid", [2, 3, 9, 129])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_surface_streams_its_row_blocks(grid, fmt, tmp_path, capsys):
+    # A surface reaches main as its prefix, one block per grid row of each
+    # layer, then its suffix; joined, the chunks are the one-string text.
+    argv = [*SURFACE_9[:1], *SURFACE_9[3:], "--grid", str(grid), "--format", fmt]
+    opts = cli.options_for(cli.build_parser().parse_args(argv))
+    chunks, failure = cli.cmd_surface(opts)
+    chunks = list(chunks)
+    assert failure is None
+    assert len(chunks) == 2 + 4 * grid and all(isinstance(c, str) for c in chunks)
+    want = _sha256(_surface_text_value_by_value(opts))
+    if grid == 9:
+        assert want == SURFACE_9_SHA256[fmt]
+    assert _sha256("".join(chunks)) == want
+    out_path = tmp_path / "surface.out"
+    code, out, _ = run([*argv, "--out", str(out_path)], capsys)
+    assert (code, out) == (0, "")
+    assert run(argv, capsys)[:2] == (0, out_path.read_text(encoding="utf-8"))
+    assert _sha256(out_path.read_text(encoding="utf-8")) == want
+
+
+@pytest.mark.parametrize("argv,chunks", [
+    (SURFACE_9 + ["--format", "csv"], 38),
+    (SURFACE_9 + ["--format", "json"], 38),
+    (["rates", "--format", "csv"], 1),
+    (["region", "--encoding", "0,0", "--encoding", "0.3,-0.2"], 1),
+], ids=["surface-csv", "surface-json", "rates-csv", "region-json"])
+def test_output_stage_logs_one_line_at_info(argv, chunks, tmp_path, monkeypatch, capsys):
+    # Logging goes to stderr only: the data bytes are the same at every level.
+    out_path = tmp_path / "out"
+    texts = set()
+    for level in ("error", "info"):
+        monkeypatch.setenv("BOSONIC_MAC_LOG", level)
+        code, out, err = run(argv, capsys)
+        texts.add(out)
+        size = len(out.encode("utf-8"))
+        wrote = [line for line in err.splitlines() if " wrote " in line]
+        assert wrote == ([f"INFO wrote {size} bytes in {chunks} chunks to stdout"]
+                         if level == "info" else [])
+        code, out, err = run([*argv, "--out", str(out_path)], capsys)
+        assert (code, out) == (0, "")
+        texts.add(out_path.read_text(encoding="utf-8"))
+        wrote = [line for line in err.splitlines() if " wrote " in line]
+        assert wrote == ([f"INFO wrote {size} bytes in {chunks} chunks to {out_path}"]
+                         if level == "info" else [])
+    assert len(texts) == 1
 
 
 CHANNEL = ["--eta1", "0.3", "--eta2", "0.85", "--nt", "0.5"]

@@ -164,3 +164,26 @@ def test_rate_columns_match_rate_grid():
     assert kinds == {"rates", ValueError, OverflowError,
                      "squeezing", "mean", "math"}
     assert _core_py.rate_columns(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]) == ([0.0], [0.0], [0.0])
+
+
+def _two_columns(*args):
+    r_max_a, r_max_b, r_max_ab = _core_py.rate_columns(*args, False)
+    assert r_max_ab is None
+    return r_max_a, r_max_b
+
+
+def test_rate_columns_without_the_sum_column():
+    # The sweeps that read only the individual rates skip the sum column:
+    # the two columns they keep are the three-column call's, bit for bit,
+    # or the same error comes up.
+    rng = random.Random(20241019)
+    grids = [_random_grid(rng) for _ in range(20_000)]
+    grids += [(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]),
+              (0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]), (0.5, 0.9, 1.0, 1.0, 1.0, [0.0], [])]
+    outcomes = set()
+    for args in grids:
+        want = _column_outcome(_core_py.rate_columns, *args)
+        got = _column_outcome(_two_columns, *args)
+        assert got == (want if isinstance(want, tuple) else want[:2]), args
+        outcomes.add(got[0] if isinstance(got, tuple) else "rates")
+    assert outcomes == {"rates", ValueError, OverflowError}

@@ -463,6 +463,35 @@ def test_receiver_rates_match_the_per_user_and_sum_functions():
     assert undefined > 0
 
 
+@pytest.mark.parametrize("n_a,n_b,r_a,fields", [
+    # Alice's photons alone overflow 4 * n_alpha (at 1e308 each, Bob's do too).
+    (1e308, 1.0, 0.0, ("n_a", None, "n_a", "n_a")),
+    (1e308, 1e308, 0.0, ("n_a", "n_b", "n_a", "n_a")),
+    (1e308, 1.0, 354.8, ("n_a", None, "n_a", "n_a")),
+    # Each user's term fits a double, their sum does not.
+    (3e307, 3e307, 0.0, (None, None, "n_b", "n_b")),
+    (4.4e307, 0.0, 0.0, (None, None, None, None)),
+])
+def test_homodyne_overflow_names_the_photon_total(n_a, n_b, r_a, fields):
+    # Every homodyne entry point: Alice's and Bob's rates, the sum rate and
+    # receiver_rates; None where the rate is finite.
+    params, budget = ChannelParams(0.5, 0.9, 1.0), PhotonBudget(n_a, n_b, r_a)
+    calls = [lambda: receiver_individual_rates(params, budget, Receiver.HOMODYNE, User.ALICE),
+             lambda: receiver_individual_rates(params, budget, Receiver.HOMODYNE, User.BOB),
+             lambda: homodyne_sum_rate(params, budget),
+             lambda: receiver_rates(params, budget, Receiver.HOMODYNE)]
+    for call, field in zip(calls, fields):
+        if field is None:
+            assert all(map(math.isfinite, np.atleast_1d(call())))
+            continue
+        with pytest.raises(InputError) as exc:
+            call()
+        assert exc.value.field == field
+        assert "4 * (n_alpha + n_beta * (1 - eta1) / eta1) overflows" in exc.value.message
+    assert all(map(math.isfinite, receiver_rates(params, PhotonBudget(n_a, n_b),
+                                                 Receiver.HETERODYNE)))
+
+
 def test_rate_bundle_branches_are_the_branch_members():
     rng = np.random.default_rng(142)
     seen = set()

@@ -528,6 +528,26 @@ def test_sweep_computes_each_mirror_pair_once(monkeypatch):
     assert len(seen) == 4
 
 
+def test_sweeps_compute_the_sum_column_only_where_read(monkeypatch):
+    # Surfaces read the individual rates only, optimize the sum rate for
+    # max-sum only, and the scan all three; the results do not depend on
+    # the skipped column.
+    params, budget = ChannelParams(0.3, 0.85, 0.5), PhotonBudget(2.5, 7.0)
+    real = kernels.rate_columns
+    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=9).layers, False),
+              (lambda: [(c.s, c.p_a, c.p_b, c.value)
+                       for c in global_constraint_scan(params, 9.5, 3, 9).best.values()], True)]
+    sweeps += [(lambda o=o: astuple(optimize_squeezing(params, budget, o, grid_n=9)),
+                o is Objective.MAX_SUM) for o in Objective]
+    for sweep, sum_column in sweeps:
+        seen = _counted_rate_columns(monkeypatch)
+        got = _bits(sweep())
+        assert seen and {args[7] if len(args) > 7 else True for args in seen} == {sum_column}
+        monkeypatch.setattr(kernels, "rate_columns", lambda *args: real(*args[:7]))
+        assert got == _bits(sweep())
+        monkeypatch.setattr(kernels, "rate_columns", real)
+
+
 @pytest.mark.parametrize("n_a,n_b,field", [
     (4.5e307, 1.0, "n_a"), (1.0, 4.5e307, "n_b"), (1e308, 1.0, "n_a"), (1.0, 1e308, "n_b"),
 ])
