@@ -14,20 +14,14 @@ Conventions used throughout:
   beamsplitter is phase-free, so no state this package builds has a
   cross covariance, and the kernels take none.
 
-``rate_triple`` gives the three rates of one squeezing pair.
-``rate_grid`` gives them for every pair of a row-by-column grid of
-squeezing parameters: it computes the exp and sinh terms of each row and
-each column once, and every cell then adds them in the association
-``receiver_variances`` uses, so each cell equals ``rate_triple`` bit for
-bit.  Both evaluate a cell's rates with ``_triple``, which calls only
-math functions on the common path.  ``rate_columns`` gives the same grid
-as three rate columns without the branch flags, or as the two individual
-ones alone, for the squeeze sweeps:
-it writes ``_triple`` out in its cell loop, the same operations in the
-same order, so these two bodies hold the piecewise rule, and the tests
-pin each to the other and to its pieces.  The pieces ``big_g2_raw``,
-``big_g11_raw`` and ``big_g12_raw`` evaluate the rule's terms one at a
-time, for the continuity check and the tests, with the same bits.
+The piecewise rate rule has two forms here.  The pieces ``big_g2_raw``,
+``big_g11_raw`` and ``big_g12_raw`` evaluate its terms one at a time, and
+``_triple`` composes them into the three rates of one cell: this is the
+point path, ``rate_triple``, and the form the continuity check and the
+tests use.  ``rate_columns``, the squeeze sweeps' kernel, is the one flat
+body: it writes the pieces out in its cell loop, in the same operations
+and order, so each cell equals ``rate_triple`` bit for bit, and the tests
+pin the two forms to each other.
 """
 
 import math
@@ -141,47 +135,20 @@ def _triple(v1, v2, nca, ncb):
     of received signal photons on a receiver mode with variances (V1, V2),
     as ``(r_a, branch_a, r_b, branch_b, r_ab, branch_ab)``.
 
-    Each rate is g(arg) - g2, clamped at 0, with g2 = g(2 sqrt(V1 V2) - 1/2).
-    Branch 1 means the received signal n covers the variance asymmetry
-    |V1 - V2| and takes arg = V1 + V2 + n - 1/2; branch 2, the opposite,
-    takes the factored argument of ``_g12_arg``.  Ties go to branch 1; the
-    two branches agree there.  This body forms the terms shared by the
-    three rates once and writes ``g_entropy`` out inline, in the same
-    operations as ``big_g2_raw``, ``big_g11_raw`` and ``big_g12_raw``, so
-    each rate has their bits and raises their error.  ``rate_columns``
-    repeats it cell by cell for the sweeps.
+    Each rate is one piece of the rule minus ``big_g2_raw``, clamped at 0:
+    ``big_g11_raw`` (branch 1) when the received signal n covers the
+    variance asymmetry |V1 - V2|, else ``big_g12_raw`` (branch 2).  Ties
+    go to branch 1; the two branches agree there in exact arithmetic.
     """
-    x = 2.0 * sqrt(v1 * v2) - 0.5
-    if x < 1e-300:
-        if x < -_NEG_TOL:
-            raise _negative_photon_error(x)
-        g2 = 0.0
-    else:
-        g2 = (log1p(x) + x * log1p(1.0 / x)) / _LN2
-    v_sum = v1 + v2
+    g2 = big_g2_raw(v1, v2)
     diff = abs(v1 - v2)
-    half_sum = 0.5 * v_sum
-    s = 0.5 * diff  # == abs(0.5 * (v1 - v2)): rounding is odd-symmetric
-    high = half_sum + s
     out = []
     for n in (nca, ncb, nca + ncb):
         if n >= diff:
-            x = v_sum + n - 0.5
-            branch = 1
+            rate, branch = big_g11_raw(n, v1, v2) - g2, 1
         else:
-            low = half_sum + n - s
-            x = 2.0 * sqrt(low * high) - 0.5
-            if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
-                x = _g12_reduced_arg(n, v1, v2)
-            branch = 2
-        if x < 1e-300:
-            if x < -_NEG_TOL:
-                raise _negative_photon_error(x)
-            # g(x) = 0 and g2 >= 0 (or nan), so the clamped rate is 0.
-            out += (0.0, branch)
-        else:
-            rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
-            out += (rate if rate > 0.0 else 0.0, branch)
+            rate, branch = big_g12_raw(n, v1, v2) - g2, 2
+        out += (rate if rate > 0.0 else 0.0, branch)
     return tuple(out)
 
 
@@ -195,57 +162,32 @@ def rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
     return _triple(v1, v2, nca, ncb)
 
 
-def rate_grid(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values):
-    """``rate_triple`` at every (r_a, r_b) of ``r_a_values`` x ``r_b_values``,
-    as a list in row-major order, each cell bit for bit.
-
-    The first row computes the column terms cell by cell.  So when the
-    first row's own terms do not raise, as in every squeeze sweep, whose
-    first row squeezes by 0, an input error comes from the same cell and
-    has the same type as in a cell-by-cell ``rate_triple`` loop.
-    """
-    t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
-    wa = eta1 * eta2
-    wb = (1.0 - eta1) * eta2
-    columns = []
-    cells = []
-    for r_a in r_a_values:
-        a1 = wa * math.exp(2.0 * r_a)
-        a2 = wa * math.exp(-2.0 * r_a)
-        nca = wa * displacement_photons(n_a, r_a)
-        if columns:
-            cells.extend([
-                _triple(0.25 * (a1 + b1 + t), 0.25 * (a2 + b2 + t), nca, ncb)
-                for b1, b2, ncb in columns
-            ])
-            continue
-        for r_b in r_b_values:
-            b1 = wb * math.exp(2.0 * r_b)
-            b2 = wb * math.exp(-2.0 * r_b)
-            ncb = wb * displacement_photons(n_b, r_b)
-            columns.append((b1, b2, ncb))
-            cells.append(_triple(0.25 * (a1 + b1 + t), 0.25 * (a2 + b2 + t), nca, ncb))
-    return cells
-
-
 def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True):
-    """The three rate columns of ``rate_grid``, without its branch flags:
-    lists ``(r_max_a, r_max_b, r_max_ab)`` in row-major order, each value
-    bit for bit ``rate_grid``'s, and an input error of the same type from
-    the same cell.  With ``sum_column`` false the sum rates are skipped,
-    ``r_max_ab`` is None and only an error of the individual rates can
-    come up.
+    """``rate_triple`` at every (r_a, r_b) of ``r_a_values`` x ``r_b_values``,
+    without its branch flags: lists ``(r_max_a, r_max_b, r_max_ab)`` in
+    row-major order, each value bit for bit ``rate_triple``'s.  With
+    ``sum_column`` false the sum rates are skipped, ``r_max_ab`` is None
+    and only an error of the individual rates can come up.
 
-    The squeeze sweeps keep only rates, so this is ``rate_grid`` with
-    ``_triple`` written out in the cell loop: the same operations in the
-    same order, unrolled over the three signal photon numbers, with no
-    call and no tuple per cell.  ``tests/test_kernels.py`` pins it to
-    ``rate_grid`` by ``float.hex``.
+    The exp and displacement terms of each column and each row are formed
+    once, and every cell adds them in the association
+    ``receiver_variances`` and ``received_photon_pair`` use.  An input
+    error comes from the first of: the column terms, in column order; then
+    each row's terms, followed by its cells.  The sweeps check the
+    full-squeeze limit first, so in a sweep no term raises.
+
+    This is the package's one flat body of the piecewise rule: ``_triple``
+    with its pieces and ``g_entropy`` written out in the cell loop, the
+    same operations in the same order, unrolled over the three signal
+    photon numbers, with no call and no tuple per cell.
+    ``tests/test_kernels.py`` pins it to the composed pieces by
+    ``float.hex``.
     """
     t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
     wa = eta1 * eta2
     wb = (1.0 - eta1) * eta2
-    columns = []
+    columns = [(wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
+                wb * displacement_photons(n_b, r_b)) for r_b in r_b_values]
     out_a, out_b = [], []
     out_ab = [] if sum_column else None
     put_a, put_b = out_a.append, out_b.append
@@ -254,12 +196,7 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
         a1 = wa * math.exp(2.0 * r_a)
         a2 = wa * math.exp(-2.0 * r_a)
         nca = wa * displacement_photons(n_a, r_a)
-        if columns:
-            cells = columns
-        else:
-            # The first row forms each column's terms as its cell comes up.
-            cells = _first_row_columns(wb, n_b, r_b_values, columns)
-        for b1, b2, ncb in cells:
+        for b1, b2, ncb in columns:
             v1 = 0.25 * (a1 + b1 + t)
             v2 = 0.25 * (a2 + b2 + t)
             x = 2.0 * sqrt(v1 * v2) - 0.5
@@ -272,7 +209,7 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
             v_sum = v1 + v2
             diff = abs(v1 - v2)
             half_sum = 0.5 * v_sum
-            s = 0.5 * diff
+            s = 0.5 * diff  # == abs(0.5 * (v1 - v2)): rounding is odd-symmetric
             high = half_sum + s
 
             n = nca
@@ -325,17 +262,6 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
                 rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
                 put_ab(rate if rate > 0.0 else 0.0)
     return out_a, out_b, out_ab
-
-
-def _first_row_columns(wb, n_b, r_b_values, columns):
-    """Yield the column terms (b1, b2, ncb) of each r_b in turn, appending
-    each to ``columns`` before its cell runs, as ``rate_grid``'s first row
-    forms them."""
-    for r_b in r_b_values:
-        term = (wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
-                wb * displacement_photons(n_b, r_b))
-        columns.append(term)
-        yield term
 
 
 def point_to_point_raw(x, y):

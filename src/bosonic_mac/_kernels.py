@@ -2,7 +2,10 @@
 
 The rest of the package reaches the kernels through this module.
 ``impl`` is the kernel module itself and ``BACKEND`` names it in
-provenance records.
+provenance records.  The piecewise rate rule comes in two forms: the
+composed pieces (``big_g*_raw``), which ``rate_triple`` evaluates one
+point at a time and the tests use, and ``rate_columns``, the one flat
+sweep kernel, pinned to them bit for bit.
 """
 
 from . import _core_py as impl
@@ -18,7 +21,6 @@ from ._core_py import (
     homodyne_rate_raw,
     point_to_point_raw,
     rate_columns,
-    rate_grid,
     rate_triple,
     received_photon_pair,
     receiver_variances,

@@ -10,14 +10,14 @@ and choice check.  A config file may hold any key of ``OPTIONS``; a
 subcommand ignores the keys it does not read, so one file serves all.
 Data goes to stdout or --out; diagnostics go to stderr, with verbosity
 controlled by the BOSONIC_MAC_LOG environment variable (error, warn,
-info, debug).  A subcommand returns its text, a str or, for a surface,
-chunks whose numbers are already checked, and the reason for a
-verification failure, or None; ``main`` alone writes the text, chunk by
-chunk, and decides every exit code: 0 success, 2 bad input (the message
-names the flag), 3 I/O failure, 4 verification failure (its reason is
-logged as an error, so it shows at every level).  Any other exception is
-a bug and surfaces as a traceback.  Identical configuration and seed give
-byte-identical output.
+info, debug; any other value logs at warn and says so).  A subcommand
+returns its text, a str or, for a surface, chunks whose numbers are
+already checked, and the reason for a verification failure, or None;
+``main`` alone writes the text, chunk by chunk, and decides every exit
+code: 0 success, 2 bad input (the message names the flag), 3 I/O
+failure, 4 verification failure (its reason is logged as an error, so it
+shows at every level).  Any other exception is a bug and surfaces as a
+traceback.  Identical configuration and seed give byte-identical output.
 """
 
 import argparse
@@ -628,12 +628,17 @@ _LOG_LEVELS = {
 
 def _setup_logging() -> None:
     """Send the package's log records to the current stderr at the level
-    BOSONIC_MAC_LOG names, replacing the handler of an earlier call."""
+    BOSONIC_MAC_LOG names, replacing the handler of an earlier call.  An
+    unknown name logs at warn, and says so."""
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     log.handlers[:] = [handler]
-    log.setLevel(_LOG_LEVELS.get(os.environ.get("BOSONIC_MAC_LOG", "warn"), logging.WARNING))
+    name = os.environ.get("BOSONIC_MAC_LOG") or "warn"
+    log.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
     log.propagate = False
+    if name not in _LOG_LEVELS:
+        log.warning("unknown BOSONIC_MAC_LOG level %r, logging at warn; the levels are %s",
+                    name, ", ".join(_LOG_LEVELS))
 
 
 #: CLI flag of each library field whose name differs from it.

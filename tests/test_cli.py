@@ -395,6 +395,24 @@ def test_output_stage_logs_one_line_at_info(argv, chunks, tmp_path, monkeypatch,
     assert len(texts) == 1
 
 
+def test_unknown_log_level_is_named_on_stderr(monkeypatch, capsys):
+    # A mistyped level logs at warn, as the default does, and says so once;
+    # stdout is unchanged, and an empty value is the default.
+    monkeypatch.delenv("BOSONIC_MAC_LOG", raising=False)
+    want = run(["rates"], capsys)
+    assert want[0] == 0 and want[2] == ""
+    for value in ("", "warn"):
+        monkeypatch.setenv("BOSONIC_MAC_LOG", value)
+        assert run(["rates"], capsys) == want
+    for value in ("INFO", "verbose", "0"):
+        monkeypatch.setenv("BOSONIC_MAC_LOG", value)
+        code, out, err = run(["rates"], capsys)
+        assert (code, out) == want[:2]
+        assert err.splitlines() == [
+            f"WARNING unknown BOSONIC_MAC_LOG level '{value}', logging at warn; "
+            "the levels are error, warn, info, debug"]
+
+
 CHANNEL = ["--eta1", "0.3", "--eta2", "0.85", "--nt", "0.5"]
 BUDGET = ["--na", "2.5", "--nb", "7"]
 ENCODINGS = ["--encoding", "0,0", "--encoding", "0.3,-0.2"]
@@ -427,6 +445,23 @@ COMMAND_PINS = [
     (["verify", "--draws", "10", "--seed", "7", "--tolerance", "0"],
      "61ed85b6034cf2decfb06e561648d0ca946894a1f86c7cec9984af3de2b3de9e", 4,
      "ERROR failed checks: covariance-oracle, mc-heterodyne, piecewise-continuity"),
+    # Outside the benchmark's workload domain: vanishing transmissivities,
+    # a signal far below the thermal floor, a budget near the float range's
+    # 2**53 precision, the lossless noiseless corner and a near-silent Bob.
+    # These rows pin bytes, not correctness: some printed values are known
+    # wrong (ROADMAP item 4), and a change that fixes them re-records them.
+    (["rates", "--eta1", "2e-154", "--eta2", "2e-154"],
+     "8765df471d7c9dd465f9ca6b09d71179af6e0409af7b7565ccb8d59a0631246b", 0, ""),
+    (["rates", "--eta1", "0.146", "--eta2", "0.139", "--nt", "5.71e4", "--na", "4.94e-9",
+      "--nb", "5.47e10", "--ra", "-8.54e-6", "--rb", "-13"],
+     "9699995212a3b15adf34cbe5ad0733359b6f14261fa4d7f2c2616d911250c135", 0, ""),
+    (["rates", "--na", "1e16", "--pa", "0.99"],
+     "1d58e9d1a4e80ffa8a10006cf961e98be1ec53ef8c219b6973f0ba5628759338", 0, ""),
+    (["surface", "--grid", "5", "--eta1", "1", "--eta2", "1", "--nt", "0", "--na", "1e15",
+      "--nb", "1e-12"],
+     "8f533a77e4cc93a6d506fe7b09fbbc0f818d9d01f89a15c2512b455de25a7d24", 0, ""),
+    (["optimize", "--grid", "5", "--na", "1e15", "--nb", "1e-9", "--objective", "max-sum"],
+     "32f8ac81d368a6245eb5c2ecaefce109c851be36145f56eef4752879c776ca9a", 0, ""),
 ]
 
 

