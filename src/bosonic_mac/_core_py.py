@@ -162,12 +162,14 @@ def rate_triple(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
     return _triple(v1, v2, nca, ncb)
 
 
-def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True):
+def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True,
+                 alice_column=True, bob_column=True):
     """``rate_triple`` at every (r_a, r_b) of ``r_a_values`` x ``r_b_values``,
     without its branch flags: lists ``(r_max_a, r_max_b, r_max_ab)`` in
-    row-major order, each value bit for bit ``rate_triple``'s.  With
-    ``sum_column`` false the sum rates are skipped, ``r_max_ab`` is None
-    and only an error of the individual rates can come up.
+    row-major order, each value bit for bit ``rate_triple``'s.  A column
+    whose flag (``alice_column``, ``bob_column``, ``sum_column``) is false
+    is skipped and returned as None, and only an error of the computed
+    columns can come up.
 
     The exp and displacement terms of each column and each row are formed
     once, and every cell adds them in the association
@@ -188,9 +190,11 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
     wb = (1.0 - eta1) * eta2
     columns = [(wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
                 wb * displacement_photons(n_b, r_b)) for r_b in r_b_values]
-    out_a, out_b = [], []
+    out_a = [] if alice_column else None
+    out_b = [] if bob_column else None
     out_ab = [] if sum_column else None
-    put_a, put_b = out_a.append, out_b.append
+    put_a = out_a.append if alice_column else None
+    put_b = out_b.append if bob_column else None
     put_ab = out_ab.append if sum_column else None
     for r_a in r_a_values:
         a1 = wa * math.exp(2.0 * r_a)
@@ -212,37 +216,39 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
             s = 0.5 * diff  # == abs(0.5 * (v1 - v2)): rounding is odd-symmetric
             high = half_sum + s
 
-            n = nca
-            if n >= diff:
-                x = v_sum + n - 0.5
-            else:
-                low = half_sum + n - s
-                x = 2.0 * sqrt(low * high) - 0.5
-                if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
-                    x = _g12_reduced_arg(n, v1, v2)
-            if x < 1e-300:
-                if x < -_NEG_TOL:
-                    raise _negative_photon_error(x)
-                put_a(0.0)
-            else:
-                rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
-                put_a(rate if rate > 0.0 else 0.0)
+            if put_a is not None:
+                n = nca
+                if n >= diff:
+                    x = v_sum + n - 0.5
+                else:
+                    low = half_sum + n - s
+                    x = 2.0 * sqrt(low * high) - 0.5
+                    if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                        x = _g12_reduced_arg(n, v1, v2)
+                if x < 1e-300:
+                    if x < -_NEG_TOL:
+                        raise _negative_photon_error(x)
+                    put_a(0.0)
+                else:
+                    rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+                    put_a(rate if rate > 0.0 else 0.0)
 
-            n = ncb
-            if n >= diff:
-                x = v_sum + n - 0.5
-            else:
-                low = half_sum + n - s
-                x = 2.0 * sqrt(low * high) - 0.5
-                if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
-                    x = _g12_reduced_arg(n, v1, v2)
-            if x < 1e-300:
-                if x < -_NEG_TOL:
-                    raise _negative_photon_error(x)
-                put_b(0.0)
-            else:
-                rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
-                put_b(rate if rate > 0.0 else 0.0)
+            if put_b is not None:
+                n = ncb
+                if n >= diff:
+                    x = v_sum + n - 0.5
+                else:
+                    low = half_sum + n - s
+                    x = 2.0 * sqrt(low * high) - 0.5
+                    if x < -_NEG_TOL or high > _G12_REDUCE_RATIO * low:
+                        x = _g12_reduced_arg(n, v1, v2)
+                if x < 1e-300:
+                    if x < -_NEG_TOL:
+                        raise _negative_photon_error(x)
+                    put_b(0.0)
+                else:
+                    rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
+                    put_b(rate if rate > 0.0 else 0.0)
 
             if put_ab is None:
                 continue

@@ -120,23 +120,27 @@ def point_to_point(x: float, y: float) -> float:
     return kernels.point_to_point_raw(x, y)
 
 
+def _thermal_loss_capacity(params: ChannelParams, n_in: float) -> float:
+    """Capacity g(eta2 n_in + y) - g(y), y = (1 - eta2) n_thermal, of the
+    second beamsplitter for ``n_in`` mean input photons."""
+    return kernels.point_to_point_raw(
+        params.eta2 * n_in, (1.0 - params.eta2) * params.n_thermal
+    )
+
+
 def outer_bound(params: ChannelParams, budget: PhotonBudget, user: User) -> float:
     """Interference-free ceiling on one transmitter's rate.
 
     The first beamsplitter is assumed undone by a nonphysical receiver, so
     eta1 does not appear.
     """
-    n_user = budget.n_a if user is User.ALICE else budget.n_b
-    return kernels.point_to_point_raw(
-        params.eta2 * n_user, (1.0 - params.eta2) * params.n_thermal
-    )
+    return _thermal_loss_capacity(params, budget.n_a if user is User.ALICE else budget.n_b)
 
 
 def sum_rate_capacity_coherent(params: ChannelParams, budget: PhotonBudget) -> float:
     """Sum-rate capacity, achieved by coherent encoding; squeezing is ignored."""
-    n_in = params.eta1 * budget.n_a + (1.0 - params.eta1) * budget.n_b
-    return kernels.point_to_point_raw(
-        params.eta2 * n_in, (1.0 - params.eta2) * params.n_thermal
+    return _thermal_loss_capacity(
+        params, params.eta1 * budget.n_a + (1.0 - params.eta1) * budget.n_b
     )
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from dataclasses import astuple
@@ -26,12 +27,17 @@ from bosonic_mac import (
     rate_bundle,
     receiver_individual_rates,
     squeeze_surface,
+    sum_rate_capacity_coherent,
 )
 from bosonic_mac import _kernels as kernels
 from bosonic_mac._search import golden_section_max
 from bosonic_mac.gaussian_core import fraction_squeezing, require_full_squeeze
 from bosonic_mac.region import (
     OPTIMIZE_TOL,
+    SCAN_MARGIN_ABS,
+    SCAN_MARGIN_REL,
+    SCAN_PRUNE_MAX_THERMAL,
+    SCAN_PRUNE_MAX_TOTAL,
     SIGN_LAYERS,
     OptimizeResult,
     RegionData,
@@ -39,7 +45,7 @@ from bosonic_mac.region import (
     _sweep,
     convex_hull,
 )
-from grid_reference import rate_grid
+from grid_reference import rate_grid, scan_reference
 
 
 class TestPentagon:
@@ -531,19 +537,22 @@ def test_sweep_computes_each_mirror_pair_once(monkeypatch):
 
 def test_sweeps_compute_the_sum_column_only_where_read(monkeypatch):
     # Surfaces read the individual rates only, optimize the sum rate for
-    # max-sum only, and the scan all three; the results do not depend on
+    # max-sum only, and the scan all three at s = 0 and s = 1 but not at
+    # s = 1/2, where the sum ceiling, about 3.25 bits, is below the
+    # coherent sum rate of s = 0, about 3.69; the results do not depend on
     # the skipped column.
     params, budget = ChannelParams(0.3, 0.85, 0.5), PhotonBudget(2.5, 7.0)
     real = kernels.rate_columns
-    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=9).layers, False),
+    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=9).layers, {False}),
               (lambda: [(c.s, c.p_a, c.p_b, c.value)
-                       for c in global_constraint_scan(params, 9.5, 3, 9).best.values()], True)]
+                       for c in global_constraint_scan(params, 9.5, 3, 9).best.values()],
+               {True, False})]
     sweeps += [(lambda o=o: astuple(optimize_squeezing(params, budget, o, grid_n=9)),
-                o is Objective.MAX_SUM) for o in Objective]
-    for sweep, sum_column in sweeps:
+                {o is Objective.MAX_SUM}) for o in Objective]
+    for sweep, sum_flags in sweeps:
         seen = _counted_rate_columns(monkeypatch)
         got = _bits(sweep())
-        assert seen and {args[7] if len(args) > 7 else True for args in seen} == {sum_column}
+        assert seen and {args[7] if len(args) > 7 else True for args in seen} == sum_flags
         monkeypatch.setattr(kernels, "rate_columns", lambda *args: real(*args[:7]))
         assert got == _bits(sweep())
         monkeypatch.setattr(kernels, "rate_columns", real)
@@ -569,6 +578,185 @@ def test_sweeps_reject_a_total_past_the_full_squeeze(n_a, n_b, field, monkeypatc
         assert exc.value.message.startswith("a squeeze sweep needs a total below about 4.49e307")
     assert seen == []
     require_full_squeeze(4.4e307, 4.4e307)
+
+
+# ---------------------------------------------------------------------------
+# The bound-pruned global scan against its unpruned reference, and which
+# (split, objective) columns it computes.
+
+def _report(fn):
+    """A scan's report as float.hex, in its ``best`` key order, or the type
+    and message of the error it raises."""
+    try:
+        report = fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return _bits([report.total_photons, [(name, c.s, c.p_a, c.p_b, c.value)
+                                         for name, c in report.best.items()]])
+
+
+def _skipped(seen, s_points):
+    """(split, objective) columns a scan that made the calls ``seen`` skipped."""
+    return 3 * s_points - sum(sum(args[7:10]) for args in seen)
+
+
+def _extreme_case(rng):
+    """A channel and total over the scan's whole domain: eta at 0, 1 and
+    just below 1, down to 1e-300; thermal photons 0 or 1e-12 to 1e12;
+    totals from 0 through the subnormals to 1e15, and past the pruning
+    domain one draw in ten."""
+    eta = lambda: rng.choice((0.0, 0.5, 1.0, math.nextafter(1.0, 0.0),  # noqa: E731
+                              10.0 ** rng.uniform(-300.0, 0.0), rng.random()))
+    n_thermal = rng.choice((0.0, 10.0 ** rng.uniform(-12.0, 12.0)))
+    total = rng.choice((0.0, 5e-324, 10.0 ** rng.uniform(-323.0, -308.0),
+                        10.0 ** rng.uniform(-300.0, 15.0), rng.uniform(0.0, 20.0)))
+    if rng.random() < 0.1:
+        n_thermal, total = rng.choice(((n_thermal, 10.0 ** rng.uniform(15.0, 17.0)),
+                                       (10.0 ** rng.uniform(12.0, 14.0), total)))
+    return ChannelParams(eta(), eta(), n_thermal), total
+
+
+#: Inputs at the edges: the pruning domain's bounds and just past them,
+#: totals whose full squeeze overflows (InputError naming n_b), and
+#: constructed ties: a symmetric channel (eta1 = 0.5, where split s and
+#: 1 - s swap Alice and Bob), a zero total and pure loss with eta at 0 or 1.
+EDGE_CASES = [
+    (ChannelParams(0.5, 0.9, 1.0), SCAN_PRUNE_MAX_TOTAL),
+    (ChannelParams(0.5, 0.9, 1.0), 1e16),
+    (ChannelParams(0.3, 0.9, SCAN_PRUNE_MAX_THERMAL), 5.0),
+    (ChannelParams(0.3, 0.9, 1e13), 5.0),
+    (ChannelParams(0.3, 0.9, 1e13), 1e16),
+    (ChannelParams(0.5, 0.9, 1.0), 4.5e307),
+    (ChannelParams(0.5, 0.9, 1.0), 1e308),
+    (ChannelParams(0.5, 0.9, 1.0), 0.0),
+    (ChannelParams(0.5, 0.9, 1.0), 7.0),
+    (ChannelParams(0.5, 0.5, 0.0), 3.0),
+    (ChannelParams(0.5, 1.0, 0.0), 3.0),
+    (ChannelParams(0.0, 0.8, 0.0), 3.0),
+    (ChannelParams(1.0, 0.8, 0.0), 3.0),
+    (ChannelParams(0.3, 0.0, 2.0), 3.0),
+    (ChannelParams(0.3, 1.0, 0.0), 0.0),
+    (ChannelParams(0.3, 0.85, 0.5), -1.0),
+    (ChannelParams(0.3, 0.85, 0.5), math.inf),
+]
+
+
+def test_pruned_scan_matches_the_full_scan(monkeypatch):
+    # Every skipped column lies below the best, so the report keeps every
+    # bit: argmax cells, values, ties and errors.
+    seen = _counted_rate_columns(monkeypatch)
+    rng = random.Random(20261019)
+    cases = [(*_extreme_case(rng), rng.randint(2, 15), rng.randint(2, 7)) for _ in range(2000)]
+    cases += [(params, total, shape, shape) for params, total in EDGE_CASES for shape in (2, 3, 9)]
+    for _ in range(10):
+        # The workload shape and domain.
+        params = ChannelParams(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98),
+                               rng.uniform(0.0, 5.0))
+        cases.append((params, rng.uniform(0.0, 20.0), 101, 33))
+    skipped = interior = raised = 0
+    for params, total, s_points, fraction_points in cases:
+        seen.clear()
+        got = _report(lambda: global_constraint_scan(params, total, s_points, fraction_points))
+        if isinstance(got[0], type):
+            raised += 1
+        else:
+            skipped += _skipped(seen, s_points)
+            interior += 3 * (s_points - 2)
+        assert got == _report(lambda: scan_reference(params, total, s_points, fraction_points))
+    # About an eighth of the interior columns prune here: most extreme
+    # draws have rates of 0 or lie past the pruning domain.
+    assert raised and skipped > interior / 10
+
+
+def _expected_calls(params, total, s_points, fraction_points):
+    """(n_a, n_b, sum, alice, bob) of each rate_columns call the ceiling
+    rule asks for: both end splits whole, then each other split in order
+    with the columns whose ceiling reaches the best of the end splits, and
+    no call for a split with none."""
+    p_values = _fractions(fraction_points)
+    budgets = [(s * total, (1.0 - s) * total) for s in _fractions(s_points)]
+    edges = [_sweep(params, n_a, n_b, p_values, (1,))[1] for n_a, n_b in (budgets[0], budgets[-1])]
+    lower = [max(max(first), max(last)) for first, last in zip(*edges)]
+    calls = [(*budgets[0], True, True, True), (*budgets[-1], True, True, True)]
+    for n_a, n_b in budgets[1:-1]:
+        budget = PhotonBudget(n_a, n_b)
+        ceilings = (outer_bound(params, budget, User.ALICE), outer_bound(params, budget, User.BOB),
+                    sum_rate_capacity_coherent(params, budget))
+        alice, bob, total_column = (not c < lb - (SCAN_MARGIN_ABS + SCAN_MARGIN_REL * lb)
+                                    for c, lb in zip(ceilings, lower))
+        if alice or bob or total_column:
+            calls.append((n_a, n_b, total_column, alice, bob))
+    return calls
+
+
+@pytest.mark.parametrize("params,total", [
+    (ChannelParams(0.3, 0.85, 0.5), 9.5),
+    (ChannelParams(0.7, 0.6, 2.0), 15.0),
+    (ChannelParams(0.5, 0.9, 1.0), 4.0),  # symmetric: the sum never prunes
+    (ChannelParams(0.2, 0.95, 0.0), 1e-3),
+])
+def test_scan_computes_the_columns_its_ceilings_allow(params, total, monkeypatch):
+    expected = _expected_calls(params, total, 21, 5)
+    seen = _counted_rate_columns(monkeypatch)
+    global_constraint_scan(params, total, 21, 5)
+    assert [(*args[3:5], *args[7:10]) for args in seen] == expected
+    assert any(False in args[7:10] for args in seen)
+
+
+def test_scan_skips_a_split_with_no_column_left(monkeypatch):
+    # No channel prunes all three objectives of one split: Alice's ceiling
+    # falls short of her best only for s below eta1, Bob's only above it.
+    # A ceiling of 0 everywhere makes the case.
+    monkeypatch.setattr("bosonic_mac.region._thermal_loss_capacity", lambda params, n_in: 0.0)
+    seen = _counted_rate_columns(monkeypatch)
+    global_constraint_scan(ChannelParams(0.3, 0.85, 0.5), 9.5, 21, 5)
+    assert [(*args[3:5], *args[7:10]) for args in seen] == \
+        [(0.0, 9.5, True, True, True), (9.5, 0.0, True, True, True)]
+
+
+@pytest.mark.parametrize("params,total", [
+    (ChannelParams(0.3, 0.85, 0.5), 1e16),
+    (ChannelParams(0.3, 0.85, 1e13), 9.5),
+])
+def test_scan_prunes_nothing_past_its_domain(params, total, monkeypatch):
+    # Outside the domain where the margin was measured, every split is
+    # swept whole, in s order after the two ends.
+    seen = _counted_rate_columns(monkeypatch)
+    global_constraint_scan(params, total, 21, 5)
+    splits = _fractions(21)
+    assert [(*args[3:5], *args[7:10]) for args in seen] == [
+        (s * total, (1.0 - s) * total, True, True, True)
+        for s in (splits[0], splits[-1], *splits[1:-1])
+    ]
+
+
+def test_scan_logs_the_columns_it_computed(monkeypatch, capsys):
+    # One debug line on the package logger; the report and stdout do not
+    # change with it.  The CLI's logging set-up stops propagation, so the
+    # test attaches its own handler.
+    params = ChannelParams(0.3, 0.85, 0.5)
+    quiet = _report(lambda: global_constraint_scan(params, 9.5, 21, 5))
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("bosonic_mac")
+    level = log.level
+    log.setLevel(logging.DEBUG)
+    log.addHandler(handler)
+    try:
+        seen = _counted_rate_columns(monkeypatch)
+        assert _report(lambda: global_constraint_scan(params, 9.5, 21, 5)) == quiet
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    skipped = _skipped(seen, 21)
+    assert skipped > 0
+    assert [(r.levelno, r.getMessage()) for r in records] == [(
+        logging.DEBUG,
+        f"global scan: {63 - skipped} of 63 (split, objective) columns computed, "
+        f"{skipped} skipped",
+    )]
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
