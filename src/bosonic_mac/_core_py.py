@@ -18,13 +18,18 @@ The piecewise rate rule has two forms here.  The pieces ``big_g2_raw``,
 ``big_g11_raw`` and ``big_g12_raw`` evaluate its terms one at a time, and
 ``_triple`` composes them into the three rates of one cell: this is the
 point path, ``rate_triple``, and the form the continuity check and the
-tests use.  ``rate_columns``, the squeeze sweeps' kernel, is the one flat
-body: it writes the pieces out in its cell loop, in the same operations
-and order, so each cell equals ``rate_triple`` bit for bit, and the tests
-pin the two forms to each other.
+tests use.  ``rate_columns``, the squeeze sweeps' kernel, writes the
+pieces out over a grid of cells, in the same operations and order, so
+each cell equals ``rate_triple`` bit for bit.  It has two bodies with the
+same bits and errors: a cell loop, ``_rate_columns_loop``, which runs
+while numpy is not loaded (in every command that sweeps), and a numpy
+body, ``_rate_columns_numpy``, which runs once other code has loaded
+numpy and keeps every exp and log1p in ``math``.  The tests pin the loop
+to the composed pieces and the numpy body to both.
 """
 
 import math
+import sys
 from math import log1p, sqrt
 
 BACKEND = "python"
@@ -178,12 +183,27 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
     each row's terms, followed by its cells.  The sweeps check the
     full-squeeze limit first, so in a sweep no term raises.
 
-    This is the package's one flat body of the piecewise rule: ``_triple``
-    with its pieces and ``g_entropy`` written out in the cell loop, the
-    same operations in the same order, unrolled over the three signal
-    photon numbers, with no call and no tuple per cell.
-    ``tests/test_kernels.py`` pins it to the composed pieces by
-    ``float.hex``.
+    Two bodies give the same bits and the same errors.  The cell loop,
+    ``_rate_columns_loop``, runs when numpy is not loaded, as in every
+    command that sweeps: importing numpy for it would cost more than it
+    saves.  Once some other code has loaded numpy, ``_rate_columns_numpy``
+    runs instead.  This function never imports numpy itself.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
+                                  sum_column, alice_column, bob_column)
+    return _rate_columns_numpy(np, eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
+                               sum_column, alice_column, bob_column)
+
+
+def _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True,
+                       alice_column=True, bob_column=True):
+    """``rate_columns`` as a cell loop: ``_triple`` with its pieces and
+    ``g_entropy`` written out, the same operations in the same order,
+    unrolled over the three signal photon numbers, with no call and no
+    tuple per cell.  ``tests/test_kernels.py`` pins it to the composed
+    pieces by ``float.hex``, and the numpy body to it.
     """
     t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
     wa = eta1 * eta2
@@ -268,6 +288,110 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
                 rate = (log1p(x) + x * log1p(1.0 / x)) / _LN2 - g2
                 put_ab(rate if rate > 0.0 else 0.0)
     return out_a, out_b, out_ab
+
+
+#: Cells per block of rows in ``_rate_columns_numpy``: its temporary
+#: arrays stay near 64 kB each, whatever the number of rows.
+_BLOCK_CELLS = 8192
+
+
+def _rate_columns_numpy(np, eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
+                        sum_column=True, alice_column=True, bob_column=True):
+    """``rate_columns`` with its cell arithmetic on arrays of the numpy
+    module ``np``: the loop body's operations in its association, on
+    blocks of rows of at most _BLOCK_CELLS cells (or one row).
+
+    Only correctly rounded operations (``+ - * / sqrt abs``, comparisons)
+    run in numpy, so each value has the loop's bits; the exp and
+    displacement terms and every log1p stay in ``math``, whose results
+    numpy's own functions do not always match.  Where a term or a cell
+    would raise, the loop body runs instead and raises the loop's error.
+    """
+    args = (eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
+            sum_column, alice_column, bob_column)
+    t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
+    wa = eta1 * eta2
+    wb = (1.0 - eta1) * eta2
+    try:
+        columns = [(wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
+                    wb * displacement_photons(n_b, r_b)) for r_b in r_b_values]
+        rows = [(wa * math.exp(2.0 * r_a), wa * math.exp(-2.0 * r_a),
+                 wa * displacement_photons(n_a, r_a)) for r_a in r_a_values]
+    except (ValueError, OverflowError):
+        return _rate_columns_loop(*args)
+    flags = (alice_column, bob_column, sum_column)
+    outs = tuple([] if flag else None for flag in flags)
+    if not rows or not columns:
+        return outs
+    b1, b2, ncb = np.array(columns).T
+    a1, a2, nca = np.array(rows).T[:, :, None]
+    step = max(1, _BLOCK_CELLS // len(columns))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            rates = _numpy_block(np, t, a1[block], a2[block], nca[block], b1, b2, ncb, flags)
+            if rates is None:
+                return _rate_columns_loop(*args)
+            for out, values in zip(outs, rates):
+                if out is not None:
+                    out += values
+    return outs
+
+
+def _numpy_block(np, t, a1, a2, nca, b1, b2, ncb, flags):
+    """The rate lists of the cells of rows (a1, a2, nca) by columns
+    (b1, b2, ncb), in row-major order, None for a column whose flag in
+    ``flags`` (Alice, Bob, sum) is false; or None if the loop body would
+    raise on one of the cells.
+
+    Both branch-2 forms are formed in every cell; ``raises`` marks each
+    cell where the loop would take the square root of a negative or meet
+    a g argument below -_NEG_TOL.
+    """
+    v1 = 0.25 * ((a1 + b1) + t)
+    v2 = 0.25 * ((a2 + b2) + t)
+    det = v1 * v2
+    x = 2.0 * np.sqrt(det) - 0.5
+    raises = (det < 0.0) | (x < -_NEG_TOL)
+    g2 = np.where(x < 1e-300, 0.0, _g_bits(np, x))
+    v_sum = v1 + v2
+    diff = np.abs(v1 - v2)
+    half_sum = 0.5 * v_sum
+    s = 0.5 * diff
+    high = half_sum + s
+    v1_lower = v1 <= v2
+    lo = np.where(v1_lower, v1, v2)
+    hi = np.where(v1_lower, v2, v1)
+    out = []
+    for flag, n in zip(flags, (nca, ncb, nca + ncb)):
+        if not flag:
+            out.append(None)
+            continue
+        low = (half_sum + n) - s
+        det = low * high
+        x = 2.0 * np.sqrt(det) - 0.5
+        reduce = (x < -_NEG_TOL) | (high > _G12_REDUCE_RATIO * low)  # _g12_arg
+        det_reduced = (lo + n) * hi
+        x = np.where(reduce, 2.0 * np.sqrt(det_reduced) - 0.5, x)
+        branch_1 = n >= diff
+        x = np.where(branch_1, (v_sum + n) - 0.5, x)
+        raises |= (~branch_1 & ((det < 0.0) | (reduce & (det_reduced < 0.0)))) | (x < -_NEG_TOL)
+        rate = _g_bits(np, x) - g2
+        out.append(np.where((x < 1e-300) | ~(rate > 0.0), 0.0, rate).ravel())
+    if raises.any():
+        return None
+    return [None if rates is None else rates.tolist() for rates in out]
+
+
+def _g_bits(np, x):
+    """``g_entropy``'s (log1p(x) + x log1p(1/x)) / ln 2 at each x of the
+    array ``x`` not below 1e-300, with each log1p by ``math.log1p``; the
+    value elsewhere is of no use."""
+    shape = x.shape
+    x = np.where(x < 1e-300, 1.0, x).ravel()
+    near = np.fromiter(map(log1p, x.tolist()), float, x.size)
+    far = np.fromiter(map(log1p, (1.0 / x).tolist()), float, x.size)
+    return ((near + x * far) / _LN2).reshape(shape)
 
 
 def point_to_point_raw(x, y):

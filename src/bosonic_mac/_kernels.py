@@ -4,8 +4,10 @@ The rest of the package reaches the kernels through this module.
 ``impl`` is the kernel module itself and ``BACKEND`` names it in
 provenance records.  The piecewise rate rule comes in two forms: the
 composed pieces (``big_g*_raw``), which ``rate_triple`` evaluates one
-point at a time and the tests use, and ``rate_columns``, the one flat
-sweep kernel, pinned to them bit for bit.
+point at a time and the tests use, and ``rate_columns``, the sweep
+kernel, pinned to them bit for bit.  ``rate_columns`` runs a cell loop
+while numpy is not loaded and a numpy body with the same bits once it
+is; it never imports numpy itself.
 """
 
 from . import _core_py as impl

@@ -266,7 +266,9 @@ def optimize_squeezing(
     baseline = value(0.0, 0.0, 1, 1)
     best = (baseline, 0.0, 0.0, 1, 1)
     columns = _sweep(params, budget.n_a, budget.n_b, p_values,
-                     sum_column=objective is Objective.MAX_SUM)
+                     sum_column=objective is Objective.MAX_SUM,
+                     alice_column=objective is Objective.MAX_RA,
+                     bob_column=objective is Objective.MAX_RB)
     for sign_a, sign_b in SIGN_LAYERS[:2]:
         top, k = _first_max(columns[sign_a * sign_b][column])
         if top > best[0]:

@@ -1,10 +1,23 @@
-"""The flat sweep kernel against the composition of the public pieces."""
+"""The sweep kernel's two bodies against the composition of the public
+pieces, and against each other."""
 
+import functools
+import itertools
 import math
 import random
 
+import numpy as np
+import pytest
+
 from bosonic_mac import _core_py
 from grid_reference import rate_grid
+
+#: The two bodies of ``rate_columns``: the cell loop, and the numpy body
+#: that runs once numpy is loaded.
+BODIES = {
+    "loop": _core_py._rate_columns_loop,
+    "numpy": functools.partial(_core_py._rate_columns_numpy, np),
+}
 
 
 def _piecewise(n, v1, v2, g2):
@@ -55,8 +68,10 @@ def _cell(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
 
 
 def _one_cell_columns(eta1, eta2, n_thermal, n_a, n_b, r_a, r_b):
-    """The three rates of ``rate_columns`` on the one-cell grid of a point."""
-    (r_max_a,), (r_max_b,), (r_max_ab,) = _core_py.rate_columns(
+    """The three rates of the loop body of ``rate_columns`` on the one-cell
+    grid of a point (the numpy body would add about 20 s here; it is
+    pinned to the loop's reference below)."""
+    (r_max_a,), (r_max_b,), (r_max_ab,) = _core_py._rate_columns_loop(
         eta1, eta2, n_thermal, n_a, n_b, [r_a], [r_b])
     return r_max_a, r_max_b, r_max_ab
 
@@ -144,18 +159,60 @@ def _random_grid(rng):
     eta1, eta2 = eta(), eta()
     n_thermal = rng.choice((0.0, rng.uniform(0.0, 5.0)))
     n_a, n_b = (rng.choice((0.0, 10.0 ** rng.uniform(-9.0, 17.0))) for _ in range(2))
+    return eta1, eta2, n_thermal, n_a, n_b, _squeezings(rng, n_a), _squeezings(rng, n_b)
 
-    def squeezings(n):
-        full = math.asinh(math.sqrt(n))
-        values = [rng.choice((-1, 1)) * full * rng.choice((0.0, 1.0, rng.random()))
-                  for _ in range(rng.randrange(5))]
-        if rng.random() < 0.5:
-            values.insert(0, 0.0)
-        if rng.random() < 0.05:
-            values.append(rng.choice((1.5 * full + 1.0, 400.0)))
-        return values
 
-    return eta1, eta2, n_thermal, n_a, n_b, squeezings(n_a), squeezings(n_b)
+def _squeezings(rng, n):
+    """Up to five squeezings of a total ``n``, or none."""
+    full = math.asinh(math.sqrt(n))
+    values = [rng.choice((-1, 1)) * full * rng.choice((0.0, 1.0, rng.random()))
+              for _ in range(rng.randrange(5))]
+    if rng.random() < 0.5:
+        values.insert(0, 0.0)
+    if rng.random() < 0.05:
+        values.append(rng.choice((1.5 * full + 1.0, 400.0)))
+    return values
+
+
+def _extreme_grid(rng):
+    """rate_grid arguments at the edges of the physical domain: eta at 0,
+    1 or uniform, thermal photons 0 or 1e-12 to 1e12, and photon numbers
+    0, the least subnormal, or from the subnormals to 1e15."""
+    eta = lambda: rng.choice((0.0, 1.0, rng.random()))  # noqa: E731
+    eta1, eta2 = eta(), eta()
+    n_thermal = rng.choice((0.0, 10.0 ** rng.uniform(-12.0, 12.0)))
+    n_a, n_b = (rng.choice((0.0, 5e-324, 10.0 ** rng.uniform(-323.0, 15.0))) for _ in range(2))
+    return eta1, eta2, n_thermal, n_a, n_b, _squeezings(rng, n_a), _squeezings(rng, n_b)
+
+
+#: Grids past the random ones: the coherent branch tie, empty row and
+#: column lists (a raising row term still raises without columns), the
+#: lossless corner, eta at 0 and 1 with the largest thermal floor and
+#: totals, and subnormal totals.
+EDGE_GRIDS = [
+    (0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]),
+    (0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]),
+    (0.5, 0.9, 1.0, 1.0, 1.0, [0.0], []),
+    (0.5, 0.9, 1.0, 1.0, 1.0, [], []),
+    (0.5, 0.9, 1.0, 1.0, 1.0, [400.0], []),
+    (1.0, 1.0, 0.0, 100.0, 0.0, [0.0, -math.asinh(math.sqrt(50.0)), math.asinh(10.0)], [0.0]),
+    *[(eta1, eta2, 1e12, 1e15, 1e15, [0.0, math.asinh(math.sqrt(5e14))], [0.0, -1.0])
+      for eta1, eta2 in itertools.product((0.0, 1.0, 0.5), repeat=2)],
+    (0.5, 0.9, 1.0, 5e-324, 5e-324, [0.0, 1e-162], [0.0, -1e-162]),
+    (0.5, 0.9, 0.0, 1e-310, 2.2e-308, [0.0], [0.0, math.asinh(math.sqrt(1e-310))]),
+    # Negative signal photon numbers (eta1 < 0) near -V_min.  Here the
+    # factored branch-2 argument is about -1/2, and the reduced form takes
+    # the square root of a negative; ...
+    (-0.9960803519594165, 0.5232371567702032, 4.26407653073475, 1.9290567748218703,
+     2408.6075507862092, [0.0], [4.5866529986883435]),
+    # ... here the factored form does, while the reduced one would give a
+    # valid argument.
+    (-0.2853628415373939, 0.7123599758636073, 2.424165375512313, 1.818827687587206,
+     7671548274.584548, [0.0], [12.073539327116297]),
+    # Non-finite thermal photons: every rate is NaN before the clamp to 0.
+    (0.5, 0.9, math.inf, 1.0, 1.0, [0.0, 0.5], [0.0]),
+    (0.5, 0.9, math.nan, 1.0, 1.0, [0.0], [0.0, -0.5]),
+]
 
 
 def _columns_of_grid(*args):
@@ -164,50 +221,84 @@ def _columns_of_grid(*args):
 
 
 def _column_outcome(fn, *args):
+    """The rate lists as float.hex, a skipped one as None, or the type and
+    message of the error raised."""
     try:
-        return [[x.hex() for x in column] for column in fn(*args)]
+        return [None if column is None else [x.hex() for x in column] for column in fn(*args)]
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
 
-def test_rate_columns_match_rate_grid():
-    rng = random.Random(20241019)
+def _grids(seed):
+    """The 20,000 random grids of ``seed``, then 2,000 extreme ones and
+    EDGE_GRIDS."""
+    rng = random.Random(seed)
     grids = [_random_grid(rng) for _ in range(20_000)]
-    # The coherent branch tie and an empty row or column list.
-    grids += [(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]),
-              (0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]), (0.5, 0.9, 1.0, 1.0, 1.0, [0.0], [])]
-    kinds = set()
-    for args in grids:
-        got = _column_outcome(_core_py.rate_columns, *args)
-        assert got == _column_outcome(_columns_of_grid, *args), args
-        kinds.add(got[0] if isinstance(got, tuple) else "rates")
-        if isinstance(got, tuple):
-            kinds.add(got[1].split(",")[0].split(" ")[0])
-    # Both error types, and each of the messages: the squeezing check, the
-    # negative argument, the square root's domain and the exp overflow.
-    assert kinds == {"rates", ValueError, OverflowError,
-                     "squeezing", "mean", "math"}
-    assert _core_py.rate_columns(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]) == ([0.0], [0.0], [0.0])
+    return grids + [_extreme_grid(rng) for _ in range(2_000)] + EDGE_GRIDS
 
 
-def _two_columns(*args):
-    r_max_a, r_max_b, r_max_ab = _core_py.rate_columns(*args, False)
-    assert r_max_ab is None
-    return r_max_a, r_max_b
+# Each body in turn; no numpy warning may leak out of the numpy body.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rate_columns_match_rate_grid():
+    grids = _grids(20241019)
+    wants = [_column_outcome(_columns_of_grid, *args) for args in grids]
+    for body, rate_columns in BODIES.items():
+        kinds = set()
+        for args, want in zip(grids, wants):
+            got = _column_outcome(rate_columns, *args)
+            assert got == want, (body, args)
+            kinds.add(got[0] if isinstance(got, tuple) else "rates")
+            if isinstance(got, tuple):
+                kinds.add(got[1].split(",")[0].split(" ")[0])
+        # Both error types, and each of the messages: the squeezing check,
+        # the negative argument, the square root's domain and the exp
+        # overflow.
+        assert kinds == {"rates", ValueError, OverflowError,
+                         "squeezing", "mean", "math"}, body
+        assert rate_columns(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]) == ([0.0], [0.0], [0.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rate_columns_without_the_sum_column():
     # The sweeps that read only the individual rates skip the sum column:
-    # the two columns they keep are the three-column call's, bit for bit,
-    # or the same error comes up.
-    rng = random.Random(20241019)
-    grids = [_random_grid(rng) for _ in range(20_000)]
-    grids += [(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]),
-              (0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]), (0.5, 0.9, 1.0, 1.0, 1.0, [0.0], [])]
+    # in each body, the two columns they keep are the three-column call's,
+    # bit for bit, or the same error comes up.
+    grids = _grids(20241019)
+    for body, rate_columns in BODIES.items():
+        def two_columns(*args):
+            r_max_a, r_max_b, r_max_ab = rate_columns(*args, False)
+            assert r_max_ab is None
+            return r_max_a, r_max_b
+
+        outcomes = set()
+        for args in grids:
+            want = _column_outcome(rate_columns, *args)
+            got = _column_outcome(two_columns, *args)
+            assert got == (want if isinstance(want, tuple) else want[:2]), (body, args)
+            outcomes.add(got[0] if isinstance(got, tuple) else "rates")
+        assert outcomes == {"rates", ValueError, OverflowError}, body
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("body", BODIES)
+def test_rate_columns_skip_any_column(body):
+    # Each flag (sum, alice, bob) skips its column alone: the columns kept
+    # are the three-column call's; where that call raises, the loop body
+    # with the same flags is the reference, since a skipped column's error
+    # does not come up.
+    rng = random.Random(20241020)
+    rate_columns = BODIES[body]
     outcomes = set()
-    for args in grids:
-        want = _column_outcome(_core_py.rate_columns, *args)
-        got = _column_outcome(_two_columns, *args)
-        assert got == (want if isinstance(want, tuple) else want[:2]), args
-        outcomes.add(got[0] if isinstance(got, tuple) else "rates")
+    for args in [_random_grid(rng) for _ in range(500)] + [_extreme_grid(rng) for _ in range(500)]:
+        full = _column_outcome(rate_columns, *args)
+        for flags in itertools.product((True, False), repeat=3):
+            got = _column_outcome(rate_columns, *args, *flags)
+            if isinstance(full, tuple):
+                want = _column_outcome(_core_py._rate_columns_loop, *args, *flags)
+                assert got == want, (args, flags)
+            else:
+                sum_column, alice_column, bob_column = flags
+                assert got == [column if keep else None for column, keep in
+                               zip(full, (alice_column, bob_column, sum_column))], (args, flags)
+            outcomes.add(got[0] if isinstance(got, tuple) else "rates")
     assert outcomes == {"rates", ValueError, OverflowError}

@@ -108,3 +108,60 @@ def test_verify_imports_numpy():
     blocked = run_python(BLOCK_NUMPY + f"from bosonic_mac import cli\ncli.main({json.dumps(argv)})\n")
     assert blocked.returncode == 1
     assert "import of numpy halted" in blocked.stderr
+
+
+#: The three sweeps on two channels, the second the lossless corner whose
+#: silent user takes the reduced branch-2 argument, as float.hex.
+SWEEP_BITS = """
+from dataclasses import astuple
+from bosonic_mac import (ChannelParams, Objective, PhotonBudget, global_constraint_scan,
+                         optimize_squeezing, squeeze_surface)
+
+def bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    return repr(value)
+
+sweep_bits = []
+for params, budget in ((ChannelParams(0.3, 0.85, 0.5), PhotonBudget(2.5, 7.0)),
+                       (ChannelParams(1.0, 1.0, 0.0), PhotonBudget(100.0, 0.0))):
+    sweep_bits += bits([
+        squeeze_surface(params, budget, 33).layers,
+        [astuple(optimize_squeezing(params, budget, o, 33)) for o in Objective],
+        global_constraint_scan(params, budget.n_a + budget.n_b, 21, 17).to_dict(),
+    ])
+"""
+
+
+def test_sweeps_give_the_same_bits_with_and_without_numpy(monkeypatch):
+    # Without numpy the sweep kernel runs its cell loop; with numpy loaded,
+    # as here, its numpy body.
+    import numpy  # noqa: F401
+
+    from bosonic_mac import _core_py
+
+    calls = []
+    real = _core_py._rate_columns_numpy
+    monkeypatch.setattr(_core_py, "_rate_columns_numpy",
+                        lambda *args: calls.append(1) or real(*args))
+    here = {}
+    exec(SWEEP_BITS, here)
+    assert calls
+    proc = run_python(BLOCK_NUMPY + SWEEP_BITS + "import json; print(json.dumps(sweep_bits))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == here["sweep_bits"]
+
+
+def test_the_sweep_kernel_leaves_numpy_unloaded():
+    proc = run_python(
+        "import sys\n"
+        "from bosonic_mac import _kernels\n"
+        "_kernels.rate_columns(0.5, 0.9, 1.0, 1.0, 1.0, [0.0, 0.5], [0.0, -0.5])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -536,23 +536,27 @@ def test_sweep_computes_each_mirror_pair_once(monkeypatch):
 
 
 def test_sweeps_compute_the_sum_column_only_where_read(monkeypatch):
-    # Surfaces read the individual rates only, optimize the sum rate for
-    # max-sum only, and the scan all three at s = 0 and s = 1 but not at
-    # s = 1/2, where the sum ceiling, about 3.25 bits, is below the
+    # Surfaces read the individual rates only, optimize the one column of
+    # its objective, and the scan all three at s = 0 and s = 1 but not the
+    # sum at s = 1/2, where the sum ceiling, about 3.25 bits, is below the
     # coherent sum rate of s = 0, about 3.69; the results do not depend on
-    # the skipped column.
+    # the skipped columns.
     params, budget = ChannelParams(0.3, 0.85, 0.5), PhotonBudget(2.5, 7.0)
     real = kernels.rate_columns
-    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=9).layers, {False}),
+    sum_flag = lambda args: args[7]  # noqa: E731
+    sweeps = [(lambda: squeeze_surface(params, budget, grid_n=9).layers, sum_flag, {False}),
               (lambda: [(c.s, c.p_a, c.p_b, c.value)
                        for c in global_constraint_scan(params, 9.5, 3, 9).best.values()],
-               {True, False})]
+               sum_flag, {True, False})]
+    # (sum_column, alice_column, bob_column)
     sweeps += [(lambda o=o: astuple(optimize_squeezing(params, budget, o, grid_n=9)),
-                {o is Objective.MAX_SUM}) for o in Objective]
-    for sweep, sum_flags in sweeps:
+                lambda args: args[7:10],
+                {(o is Objective.MAX_SUM, o is Objective.MAX_RA, o is Objective.MAX_RB)})
+               for o in Objective]
+    for sweep, flags, expected in sweeps:
         seen = _counted_rate_columns(monkeypatch)
         got = _bits(sweep())
-        assert seen and {args[7] if len(args) > 7 else True for args in seen} == sum_flags
+        assert seen and {flags(args) for args in seen} == expected
         monkeypatch.setattr(kernels, "rate_columns", lambda *args: real(*args[:7]))
         assert got == _bits(sweep())
         monkeypatch.setattr(kernels, "rate_columns", real)
