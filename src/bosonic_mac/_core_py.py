@@ -197,6 +197,20 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
                                sum_column, alice_column, bob_column)
 
 
+def _channel_terms(eta1, eta2, n_thermal):
+    """``(t, wa, wb)``: the thermal term of both receiver variances, and
+    the weights of Alice's and Bob's terms, as ``receiver_variances``
+    forms them."""
+    return (1.0 - eta2) * (2.0 * n_thermal + 1.0), eta1 * eta2, (1.0 - eta1) * eta2
+
+
+def _user_terms(w, n, r):
+    """One user's terms of a sweep cell at squeezing ``r`` and budget
+    ``n``, with weight ``w``: its shares ``w e^{2r}`` and ``w e^{-2r}`` of
+    the two variances and ``w`` times its displacement photons."""
+    return w * math.exp(2.0 * r), w * math.exp(-2.0 * r), w * displacement_photons(n, r)
+
+
 def _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_column=True,
                        alice_column=True, bob_column=True):
     """``rate_columns`` as a cell loop: ``_triple`` with its pieces and
@@ -205,11 +219,8 @@ def _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, 
     tuple per cell.  ``tests/test_kernels.py`` pins it to the composed
     pieces by ``float.hex``, and the numpy body to it.
     """
-    t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
-    wa = eta1 * eta2
-    wb = (1.0 - eta1) * eta2
-    columns = [(wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
-                wb * displacement_photons(n_b, r_b)) for r_b in r_b_values]
+    t, wa, wb = _channel_terms(eta1, eta2, n_thermal)
+    columns = [_user_terms(wb, n_b, r_b) for r_b in r_b_values]
     out_a = [] if alice_column else None
     out_b = [] if bob_column else None
     out_ab = [] if sum_column else None
@@ -217,9 +228,7 @@ def _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, 
     put_b = out_b.append if bob_column else None
     put_ab = out_ab.append if sum_column else None
     for r_a in r_a_values:
-        a1 = wa * math.exp(2.0 * r_a)
-        a2 = wa * math.exp(-2.0 * r_a)
-        nca = wa * displacement_photons(n_a, r_a)
+        a1, a2, nca = _user_terms(wa, n_a, r_a)
         for b1, b2, ncb in columns:
             v1 = 0.25 * (a1 + b1 + t)
             v2 = 0.25 * (a2 + b2 + t)
@@ -309,14 +318,10 @@ def _rate_columns_numpy(np, eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_val
     """
     args = (eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
             sum_column, alice_column, bob_column)
-    t = (1.0 - eta2) * (2.0 * n_thermal + 1.0)
-    wa = eta1 * eta2
-    wb = (1.0 - eta1) * eta2
+    t, wa, wb = _channel_terms(eta1, eta2, n_thermal)
     try:
-        columns = [(wb * math.exp(2.0 * r_b), wb * math.exp(-2.0 * r_b),
-                    wb * displacement_photons(n_b, r_b)) for r_b in r_b_values]
-        rows = [(wa * math.exp(2.0 * r_a), wa * math.exp(-2.0 * r_a),
-                 wa * displacement_photons(n_a, r_a)) for r_a in r_a_values]
+        columns = [_user_terms(wb, n_b, r_b) for r_b in r_b_values]
+        rows = [_user_terms(wa, n_a, r_a) for r_a in r_a_values]
     except (ValueError, OverflowError):
         return _rate_columns_loop(*args)
     flags = (alice_column, bob_column, sum_column)

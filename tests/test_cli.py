@@ -473,6 +473,20 @@ def test_command_bytes_are_pinned(argv, sha256, code, last_err, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+#: The pinned commands that sweep.  In this process numpy is loaded, so
+#: their sweeps run the kernel's numpy body; a CLI process never loads it
+#: and runs the cell loop, which must print the same bytes.
+SWEEP_PINS = [pin for pin in COMMAND_PINS if pin[0][0] in ("surface", "optimize")] + [
+    (SURFACE_9 + ["--format", fmt], sha256, 0, "") for fmt, sha256 in sorted(SURFACE_9_SHA256.items())]
+
+
+@pytest.mark.parametrize("argv,sha256,code,last_err", SWEEP_PINS,
+                         ids=[" ".join(argv) for argv, *_ in SWEEP_PINS])
+def test_sweep_bytes_are_pinned_without_numpy(argv, sha256, code, last_err, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    test_command_bytes_are_pinned(argv, sha256, code, last_err, capsys)
+
+
 class TestRates:
     def test_default_record(self, capsys):
         code, out, _ = run(["rates"], capsys)

@@ -185,12 +185,20 @@ def _extreme_grid(rng):
     return eta1, eta2, n_thermal, n_a, n_b, _squeezings(rng, n_a), _squeezings(rng, n_b)
 
 
-#: Grids past the random ones: the coherent branch tie, empty row and
-#: column lists (a raising row term still raises without columns), the
-#: lossless corner, eta at 0 and 1 with the largest thermal floor and
-#: totals, and subnormal totals.
+#: Grids past the random ones: branch ties, empty row and column lists (a
+#: raising row term still raises without columns), the lossless corner,
+#: eta at 0 and 1 with the largest thermal floor and totals, and
+#: subnormal totals.
 EDGE_GRIDS = [
+    # The coherent branch tie, where nothing is sent: n == |V1 - V2| == 0,
+    # where both branches give the same bits ...
     (0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]),
+    # ... and ties n == |V1 - V2| > 0, for Alice, for Bob and for the sum,
+    # where the two branches round differently, so only the tie rule
+    # (branch 1 at n >= |V1 - V2|) gives rate_grid's bits.
+    (0.1, 0.37, 0.7, 4.081130358123837, 0.7, [0.0], [math.asinh(math.sqrt(0.25 * 0.7))]),
+    (0.22, 0.94, 2.6, 1.6, 0.4582790894922851, [math.asinh(math.sqrt(0.75 * 1.6))], [0.0]),
+    (0.33, 0.85, 1.9, 3.7, 0.21976645553960067, [math.asinh(math.sqrt(0.5 * 3.7))], [0.0]),
     (0.5, 0.9, 1.0, 1.0, 1.0, [], [0.0]),
     (0.5, 0.9, 1.0, 1.0, 1.0, [0.0], []),
     (0.5, 0.9, 1.0, 1.0, 1.0, [], []),
@@ -258,47 +266,34 @@ def test_rate_columns_match_rate_grid():
         assert rate_columns(0.5, 0.9, 1.0, 0.0, 0.0, [0.0], [0.0]) == ([0.0], [0.0], [0.0])
 
 
+#: The column flags of ``rate_columns``, in its argument order (sum,
+#: alice, bob).
+FLAG_TRIPLES = list(itertools.product((True, False), repeat=3))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rate_columns_without_the_sum_column():
-    # The sweeps that read only the individual rates skip the sum column:
-    # in each body, the two columns they keep are the three-column call's,
-    # bit for bit, or the same error comes up.
+    # The sweeps skip the columns they do not read.  On every grid, in each
+    # body, the sum flag alone keeps the three-column call's Alice and Bob
+    # columns bit for bit, or the same error comes up.  On every tenth
+    # grid each of the eight flag triples keeps the columns it names and
+    # returns None for the others; where the three-column call raises, a
+    # skipped column's error does not come up, and the two bodies give the
+    # same outcome.
     grids = _grids(20241019)
-    for body, rate_columns in BODIES.items():
-        def two_columns(*args):
-            r_max_a, r_max_b, r_max_ab = rate_columns(*args, False)
-            assert r_max_ab is None
-            return r_max_a, r_max_b
-
-        outcomes = set()
-        for args in grids:
-            want = _column_outcome(rate_columns, *args)
-            got = _column_outcome(two_columns, *args)
-            assert got == (want if isinstance(want, tuple) else want[:2]), (body, args)
-            outcomes.add(got[0] if isinstance(got, tuple) else "rates")
-        assert outcomes == {"rates", ValueError, OverflowError}, body
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("body", BODIES)
-def test_rate_columns_skip_any_column(body):
-    # Each flag (sum, alice, bob) skips its column alone: the columns kept
-    # are the three-column call's; where that call raises, the loop body
-    # with the same flags is the reference, since a skipped column's error
-    # does not come up.
-    rng = random.Random(20241020)
-    rate_columns = BODIES[body]
-    outcomes = set()
-    for args in [_random_grid(rng) for _ in range(500)] + [_extreme_grid(rng) for _ in range(500)]:
-        full = _column_outcome(rate_columns, *args)
-        for flags in itertools.product((True, False), repeat=3):
-            got = _column_outcome(rate_columns, *args, *flags)
-            if isinstance(full, tuple):
-                want = _column_outcome(_core_py._rate_columns_loop, *args, *flags)
-                assert got == want, (args, flags)
-            else:
-                sum_column, alice_column, bob_column = flags
-                assert got == [column if keep else None for column, keep in
-                               zip(full, (alice_column, bob_column, sum_column))], (args, flags)
-            outcomes.add(got[0] if isinstance(got, tuple) else "rates")
-    assert outcomes == {"rates", ValueError, OverflowError}
+    outcomes = {body: set() for body in BODIES}
+    for i, args in enumerate(grids):
+        full = {body: _column_outcome(fn, *args) for body, fn in BODIES.items()}
+        for flags in FLAG_TRIPLES if i % 10 == 0 else [(False, True, True)]:
+            got = {body: _column_outcome(fn, *args, *flags) for body, fn in BODIES.items()}
+            for body, outcome in got.items():
+                if not isinstance(full[body], tuple):
+                    sum_column, alice_column, bob_column = flags
+                    assert outcome == [column if keep else None for column, keep in
+                                       zip(full[body], (alice_column, bob_column, sum_column))], \
+                        (body, args, flags)
+                elif flags == (False, True, True):
+                    assert outcome == full[body], (body, args)
+                outcomes[body].add(outcome[0] if isinstance(outcome, tuple) else "rates")
+            assert got["numpy"] == got["loop"], (args, flags)
+    assert outcomes == {body: {"rates", ValueError, OverflowError} for body in BODIES}

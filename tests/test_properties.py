@@ -1,7 +1,9 @@
 """Invariants of the rate kernel as properties over its whole domain."""
 
 import math
+import sys
 
+import numpy  # noqa: F401  (loaded, so rate_columns runs its numpy body)
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,14 +62,18 @@ def _columns_outcome(fn):
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(ETA, ETA, N_THERMAL, PHOTONS, PHOTONS, FRACTIONS, FRACTIONS, st.booleans())
-# Branch ties n == |V1 - V2| > 0, for Alice and for Bob: the two branches
-# round differently there, so only the tie rule gives the point path's bits.
+# Branch ties n == |V1 - V2| > 0, for Alice, for Bob and for the sum: the
+# two branches round differently there, so only the tie rule gives the
+# point path's bits.
 @example(0.1, 0.37, 0.7, 4.081130358123837, 0.7, [0.0], [0.25], True)
 @example(0.22, 0.94, 2.6, 1.6, 0.4582790894922851, [0.75], [0.0], False)
+@example(0.33, 0.85, 1.9, 3.7, 0.21976645553960067, [0.5], [0.0], True)
 def test_rate_columns_match_a_rate_triple_loop(eta1, eta2, n_thermal, n_a, n_b, f_a, f_b,
                                                sum_column):
-    # The sweep kernel's unrolled blocks against the point path, cell by
-    # cell in row-major order.
+    # Both bodies of the sweep kernel against the point path, cell by cell
+    # in row-major order: the numpy body, which runs here since numpy is
+    # loaded, and the cell loop, which runs where numpy is not, as in every
+    # CLI process.
     r_a = [_squeezing(f, n_a) for f in f_a]
     r_b = [_squeezing(f, n_b) for f in f_b]
     channel = (eta1, eta2, n_thermal, n_a, n_b)
@@ -77,8 +83,14 @@ def test_rate_columns_match_a_rate_triple_loop(eta1, eta2, n_thermal, n_a, n_b, 
         return ([c[0] for c in cells], [c[2] for c in cells],
                 [c[4] for c in cells] if sum_column else None)
 
-    assert _columns_outcome(lambda: kernels.rate_columns(*channel, r_a, r_b, sum_column)) == \
-        _columns_outcome(loop)
+    def columns():
+        return kernels.rate_columns(*channel, r_a, r_b, sum_column)
+
+    want = _columns_outcome(loop)
+    assert _columns_outcome(columns) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "numpy", None)
+        assert _columns_outcome(columns) == want
 
 
 #: The global-budget scan's pruning domain (region.SCAN_PRUNE_MAX_*): eta
