@@ -187,14 +187,24 @@ def rate_columns(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values, sum_co
     ``_rate_columns_loop``, runs when numpy is not loaded, as in every
     command that sweeps: importing numpy for it would cost more than it
     saves.  Once some other code has loaded numpy, ``_rate_columns_numpy``
-    runs instead.  This function never imports numpy itself.
+    runs instead (see ``loaded_numpy``).
     """
-    np = sys.modules.get("numpy")
+    np = loaded_numpy()
     if np is None:
         return _rate_columns_loop(eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
                                   sum_column, alice_column, bob_column)
     return _rate_columns_numpy(np, eta1, eta2, n_thermal, n_a, n_b, r_a_values, r_b_values,
                                sum_column, alice_column, bob_column)
+
+
+def loaded_numpy():
+    """The numpy module if some code in this process has imported it, else
+    None; never imports it.  This one rule picks each numpy body over its
+    Python twin (``rate_columns`` here, the surface serializer in
+    ``cli``).  ``sys.modules["numpy"] = None`` hides a loaded numpy from it,
+    as from an import, so a test can run the Python bodies in a process
+    that has numpy."""
+    return sys.modules.get("numpy")
 
 
 def _channel_terms(eta1, eta2, n_thermal):

@@ -1,18 +1,21 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bosonic_mac
 from bosonic_mac import _kernels as kernels
-from bosonic_mac import cli, region
+from bosonic_mac import ChannelParams, PhotonBudget, cli, region
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -279,6 +282,21 @@ def test_non_finite_row_raises_the_per_value_error(bad):
     assert errors == [f"non-finite number in output: {bad}"] * 2
 
 
+#: The surface serializer's two bodies (``cli._pair_texts``): numpy's,
+#: which runs in this process because numpy is loaded, and the template's,
+#: which every CLI process runs; hiding numpy selects the second.
+SERIALIZER_BODIES = ("numpy", "template")
+
+
+@contextlib.contextmanager
+def serializer_body(body):
+    with pytest.MonkeyPatch.context() as patch:
+        if body == "template":
+            patch.setitem(sys.modules, "numpy", None)
+        assert (cli.loaded_numpy() is None) == (body == "template")
+        yield
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_surface_cell_exits_3_with_nothing_written(bad, fmt, tmp_path,
@@ -302,12 +320,14 @@ def test_non_finite_surface_cell_exits_3_with_nothing_written(bad, fmt, tmp_path
     seen = []
     monkeypatch.setattr(kernels, "rate_columns", poisoned)
     out_path = tmp_path / "surface.out"
-    for extra in ([], ["--out", str(out_path)]):
-        seen.clear()
-        code, out, err = run(["surface", "--grid", "3", "--format", fmt, *extra], capsys)
-        assert len(seen) == 2
-        assert (code, out, err) == (3, "", f"error: non-finite number in output: {bad}\n")
-    assert not out_path.exists() or out_path.read_bytes() == b""
+    for body in SERIALIZER_BODIES:
+        with serializer_body(body):
+            for extra in ([], ["--out", str(out_path)]):
+                seen.clear()
+                code, out, err = run(["surface", "--grid", "3", "--format", fmt, *extra], capsys)
+                assert len(seen) == 2
+                assert (code, out, err) == (3, "", f"error: non-finite number in output: {bad}\n")
+            assert not out_path.exists() or out_path.read_bytes() == b""
 
 
 #: sha256 of `surface --grid 9` for one channel, recorded before the
@@ -353,19 +373,85 @@ def test_surface_streams_its_row_blocks(grid, fmt, tmp_path, capsys):
     # layer, then its suffix; joined, the chunks are the one-string text.
     argv = [*SURFACE_9[:1], *SURFACE_9[3:], "--grid", str(grid), "--format", fmt]
     opts = cli.options_for(cli.build_parser().parse_args(argv))
-    chunks, failure = cli.cmd_surface(opts)
-    chunks = list(chunks)
-    assert failure is None
-    assert len(chunks) == 2 + 4 * grid and all(isinstance(c, str) for c in chunks)
     want = _sha256(_surface_text_value_by_value(opts))
     if grid == 9:
         assert want == SURFACE_9_SHA256[fmt]
-    assert _sha256("".join(chunks)) == want
-    out_path = tmp_path / "surface.out"
-    code, out, _ = run([*argv, "--out", str(out_path)], capsys)
-    assert (code, out) == (0, "")
-    assert run(argv, capsys)[:2] == (0, out_path.read_text(encoding="utf-8"))
-    assert _sha256(out_path.read_text(encoding="utf-8")) == want
+    for body in SERIALIZER_BODIES:
+        with serializer_body(body):
+            chunks, failure = cli.cmd_surface(opts)
+            chunks = list(chunks)
+            assert failure is None
+            assert len(chunks) == 2 + 4 * grid and all(isinstance(c, str) for c in chunks)
+            assert _sha256("".join(chunks)) == want
+            out_path = tmp_path / f"surface-{body}.out"
+            code, out, _ = run([*argv, "--out", str(out_path)], capsys)
+            assert (code, out) == (0, "")
+            assert run(argv, capsys)[:2] == (0, out_path.read_text(encoding="utf-8"))
+            assert _sha256(out_path.read_text(encoding="utf-8")) == want
+
+
+def _format_corpus(rng) -> list:
+    """About 1.1 million doubles for the serializer's numpy body: log-uniform
+    over every positive magnitude and uniform on [0, 30]; each power of ten
+    10**e and its two neighbours; exact 18-digit ties j / 2**(17 - k), j
+    odd, in [10**k, 10**(k + 1)) for k = 0..15, which "%.17g" rounds half to
+    even; zeros, subnormals and negatives; shuffled."""
+    parts = [np.exp(rng.uniform(math.log(5e-324), math.log(sys.float_info.max), 500_000)),
+             rng.uniform(0.0, 30.0, 500_000),
+             rng.uniform(0.0, sys.float_info.min, 1_000),
+             [0.0, -0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.min]]
+    for e in range(-323, 309):
+        p = float(f"1e{e}")
+        parts.append([math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)])
+    for k in range(16):
+        scale = 2 ** (17 - k)  # j < 2**53 is exact, and j / scale too
+        low, high = scale * 10 ** k, min(scale * 10 ** (k + 1), 2 ** 53)
+        parts.append((rng.integers(low // 2, high // 2, 2_000) * 2 + 1) / scale)
+    values = np.concatenate(parts)
+    values = np.concatenate([values, -rng.choice(values, 50_000)])
+    rng.shuffle(values)
+    return values[:len(values) // 2 * 2].tolist()
+
+
+@pytest.mark.parametrize("sep,end", [(",", ""), (", ", "]")], ids=["csv", "json"])
+def test_numpy_pair_texts_match_the_template(sep, end):
+    # String for string, over values inside the fixed-notation domain
+    # [1e-4, 1e16), at its edges and far outside it.
+    values = _format_corpus(np.random.default_rng(19))
+    ra, rb = values[0::2], values[1::2]
+    fixed = cli._fixed_digits(np, np.array(values))[0]
+    assert fixed.sum() > 500_000 and not fixed.all()
+    texts = cli._pair_texts_numpy(np, ra, rb, sep, end)
+    want = ["%.17g" % a + sep + "%.17g" % b + end for a, b in zip(ra, rb)]
+    got = texts[:]
+    assert len(got) == len(want)
+    assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+    # Read in row-sized slices, as a surface's blocks read them.
+    assert [t for i in range(0, len(want), 777) for t in texts[i:i + 777]] == want
+
+
+def test_serializer_bodies_give_the_same_surface_bytes():
+    # 520 surfaces at grids 2 to 65 over extreme channels: eta at 0 or 1,
+    # thermal photons up to 1e12, photon totals from 0 and 1e-300 to 1e15,
+    # so that many rates print as 0 or in exponent notation.
+    rng = random.Random(20261019)
+    exponent_texts = 0
+    for i in range(520):
+        grid = 65 if i < 4 else 2 + int(63 * rng.random() ** 3)
+        eta1, eta2 = (rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
+        nt = rng.choice((0.0, 10.0 ** rng.uniform(-12.0, 12.0)))
+        na, nb = (rng.choice((0.0, 10.0 ** rng.uniform(-300.0, 15.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+                  for _ in range(2))
+        surface = region.squeeze_surface(ChannelParams(eta1, eta2, nt), PhotonBudget(na, nb), grid)
+        for dump in (lambda: cli.dumps_csv(cli.SURFACE_COLUMNS, surface),
+                     lambda: cli.dumps_json({"grid": grid, "rows": surface})):
+            texts = []
+            for body in SERIALIZER_BODIES:
+                with serializer_body(body):
+                    texts.append("".join(dump()))
+            assert _sha256(texts[0]) == _sha256(texts[1])
+        exponent_texts += "e-" in texts[0]
+    assert exponent_texts > 100
 
 
 @pytest.mark.parametrize("argv,chunks", [
