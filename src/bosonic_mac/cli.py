@@ -18,10 +18,21 @@ code: 0 success, 2 bad input (the message names the flag), 3 I/O
 failure, 4 verification failure (its reason is logged as an error, so it
 shows at every level).  Any other exception is a bug and surfaces as a
 traceback.  Identical configuration and seed give byte-identical output.
+
+Numbers print as "%.17g".  A surface's rate pairs have two serializer
+bodies with the same bytes, picked by ``_core_py.loaded_numpy`` as the
+sweep kernel's are: the "%.17g" template wherever numpy is not loaded
+(every CLI process), and a numpy body once other code has loaded it (a
+library session, the benchmark's surface worker).  The numpy body finds
+the 17 digits of each value from 1e-4 to 1e16 in exact arithmetic
+(np.log10 only guesses the exponent; a range check on the digits decides
+it) and leaves every other value to "%.17g"; see ``_fixed_digits``.  It
+costs a fixed 0.2 ms or so per surface, so it is slower below about
+17 x 17 cells and faster above: at grid 129 a surface's text takes about
+16.5 ms against 30 ms, formatting, joining and writing together.
 """
 
 import argparse
-import bisect
 import contextlib
 import functools
 import itertools
@@ -33,7 +44,7 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from . import __version__, asymptotics, region
-from ._core_py import _BLOCK_CELLS, loaded_numpy
+from ._core_py import loaded_numpy
 from .gaussian_core import (
     ChannelParams,
     InputError,
@@ -84,13 +95,14 @@ def _surface_blocks(surface, sep: str, row_sep: str, start: str, end: str):
     return _join_blocks(surface, pairs, sep, row_sep, start)
 
 
-def _pair_texts(ra, rb, sep: str, end: str) -> list:
+def _pair_texts(ra, rb, sep: str, end: str):
     """``f"%.17g{sep}%.17g{end}" % (a, b)`` for each pair of the rate
     columns ``ra`` and ``rb``, raising CliError for the first inf or nan in
     output order.  While numpy is not loaded, as in every CLI process, the
-    template formats each pair; once other code has loaded it,
-    ``_pair_texts_numpy`` forms the same texts on arrays (the rule is
-    ``loaded_numpy``, as for the sweep kernel)."""
+    template formats each pair into a list; once other code has loaded it,
+    ``_pair_texts_numpy`` forms the same texts on arrays and returns a
+    ``_PairTexts``, whose slices are lists (the rule is ``loaded_numpy``,
+    as for the sweep kernel)."""
     np = loaded_numpy()
     if np is not None:
         return _pair_texts_numpy(np, ra, rb, sep, end)
@@ -115,8 +127,8 @@ def _raise_non_finite(ra, rb) -> None:
 # rounded to an integer, with 10**16 <= N < 10**17.  np.log10 only guesses
 # k; the range check on N decides it.  Every other value (0, -0, the
 # residues below 1e-4, values that need an exponent, any N out of range)
-# goes through "%.17g", one value at a time, so no byte comes from a numpy
-# transcendental.
+# goes through "%.17g", one value at a time, and its text is laid out like
+# the digits, so no byte comes from a numpy transcendental.
 
 def _split(x):
     """Veltkamp's split of the double ``x`` (a float or an array) into
@@ -187,8 +199,22 @@ def _layout(k: int, last: int) -> list:
 
 _EXPONENTS = range(-4, 16)
 
-#: Pairs per gather in ``_pair_texts_numpy``: its index array stays near
-#: 200 kB.
+#: Character rows per value: its 17 digits, or its "%.17g" text, which is
+#: at most 24 characters long ("-2.2250738585072014e-308").
+_TEXT_ROWS = 24
+
+#: Every layout of a value's text: those of fixed notation by exponent and
+#: last nonzero digit (index (k + 4) * 17 + last), then "%.17g" texts
+#: taken as they are, by length (index _VERBATIM + length - 1).
+_LAYOUTS = [_layout(k, last) for k in _EXPONENTS for last in range(17)]
+_VERBATIM = len(_LAYOUTS)
+_LAYOUTS += [list(range(length)) for length in range(1, _TEXT_ROWS + 1)]
+
+#: Pairs per block of ``_pair_texts_numpy`` (4,096 values) and per chunk
+#: of str in ``_PairTexts``, and pairs per gather: a block's arrays stay
+#: near 200 kB.  Of blocks of 2,048 to 8,192 values, 4,096 measured
+#: fastest and peaked lowest.
+_BLOCK_PAIRS = 2048
 _GATHER_PAIRS = 512
 
 
@@ -198,12 +224,12 @@ def _pair_layouts(np, sep: str, end: str):
     ``(consts, head, head_len, tails, tail_at)``.
 
     A block's characters are rows of its values: the constant rows
-    ``consts`` (NUL, ".", "0", then ``sep`` and ``end``), then 17 digit
-    rows.  The values of a block are its r_max_a values, then its r_max_b
+    ``consts`` (NUL, ".", "0", then ``sep`` and ``end``), then _TEXT_ROWS
+    rows of the value's digits or text.  The values of a block are its r_max_a values, then its r_max_b
     values, so row r of value i of n pairs is entry 2 r n + i of the flat
     block for r_max_a and 2 r n + n + i for r_max_b: a table entry holds
-    2 r or 2 r + 1, and entry * n + i is the flat index.  Each layout
-    (exponent, last digit) has a row of ``head``, r_max_a's text and
+    2 r or 2 r + 1, and entry * n + i is the flat index.  Each layout of
+    _LAYOUTS has a row of ``head``, r_max_a's text and
     ``sep``, and a tail, r_max_b's text and ``end``: row ``tail_at[c] - s``
     of ``tails`` is layout c's tail from column s on.  Columns past a text
     hold 0, which is NUL.
@@ -214,45 +240,49 @@ def _pair_layouts(np, sep: str, end: str):
         return [2 * (len(consts) + c) + half if isinstance(c, int) else 2 * consts.index(c)
                 for c in text]
 
-    layouts = [_layout(k, last) for k in _EXPONENTS for last in range(17)]
-    heads = [codes(text, 0) + codes(sep, 0) for text in layouts]
-    tails = [codes(text, 1) + codes(end, 0) for text in layouts]
+    heads = [codes(text, 0) + codes(sep, 0) for text in _LAYOUTS]
+    tails = [codes(text, 1) + codes(end, 0) for text in _LAYOUTS]
     shift = max(map(len, heads))  # the largest start column of a tail
     width = shift + max(map(len, tails))
-    head = np.zeros((len(layouts), width), np.int8)
-    tail = np.zeros((len(layouts), shift + width), np.int8)
+    head = np.zeros((len(_LAYOUTS), width), np.int8)
+    tail = np.zeros((len(_LAYOUTS), shift + width), np.int8)
     for i, (h, t) in enumerate(zip(heads, tails)):
         head[i, :len(h)] = h
         tail[i, shift:shift + len(t)] = t
     return (np.array([[ord(c)] for c in consts], np.uint8), head, np.array(list(map(len, heads))),
             np.lib.stride_tricks.sliding_window_view(tail.ravel(), width),
-            np.arange(len(layouts)) * (shift + width) + shift)
+            np.arange(len(_LAYOUTS)) * (shift + width) + shift)
 
 
 def _pair_texts_numpy(np, ra, rb, sep: str, end: str) -> "_PairTexts":
     """``_pair_texts`` on the numpy module ``np``, as a ``_PairTexts``.
 
-    In blocks of _BLOCK_CELLS values, ``_fixed_digits`` finds each value's
-    digits and ``_write_digits`` writes them as characters; the tables of
-    ``_pair_layouts`` gather each pair's characters into its row of codes,
-    _GATHER_PAIRS pairs at a time.  A pair that holds a value outside fixed
-    notation takes the template."""
+    In blocks of _BLOCK_PAIRS pairs, ``_fixed_digits`` finds each value's
+    digits and ``_write_digits`` writes them as characters, or a value
+    outside fixed notation gets its "%.17g" text written there instead.
+    The tables of ``_pair_layouts`` then gather each pair's characters into
+    its row of codes, _GATHER_PAIRS pairs at a time."""
     consts, head, head_len, tails, tail_at = _pair_layouts(np, sep, end)
-    template = f"%.17g{sep}%.17g{end}"
     a, b = np.fromiter(ra, float, len(ra)), np.fromiter(rb, float, len(rb))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         _raise_non_finite(ra, rb)
     codes = np.empty((len(ra), head.shape[1]), np.uint8)
-    fallback = {}
-    step = _BLOCK_CELLS // 2
+    step = _BLOCK_PAIRS
     for first in range(0, len(ra), step):
         x = np.concatenate((a[first:first + step], b[first:first + step]))
         n = len(x) // 2
         fixed, k, digits = _fixed_digits(np, x)
-        chars = np.empty((len(consts) + 17, 2 * n), np.uint8)
+        chars = np.empty((len(consts) + _TEXT_ROWS, 2 * n), np.uint8)
         chars[:len(consts)] = consts
-        last = _write_digits(np, digits, chars[len(consts):])
-        layout = (k - _EXPONENTS[0]) * 17 + last
+        text_rows = chars[len(consts):]
+        layout = (k - _EXPONENTS[0]) * 17 + _write_digits(np, digits, text_rows[:17])
+        other = np.flatnonzero(~fixed)
+        if other.size:  # "%.17g" texts, padded with spaces to _TEXT_ROWS
+            texts = (f"%-{_TEXT_ROWS}.17g" * other.size) % tuple(x[other].tolist())
+            texts = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(-1, _TEXT_ROWS)
+            text = texts != ord(" ")
+            layout[other] = _VERBATIM - 1 + text.sum(axis=1)
+            text_rows[:, other] = (texts * text).T
         head_rows, tail_rows = layout[:n], layout[n:]
         cut = head_len[head_rows]
         for sub in range(0, n, _GATHER_PAIRS):
@@ -262,28 +292,24 @@ def _pair_texts_numpy(np, ra, rb, sep: str, end: str) -> "_PairTexts":
             index = np.multiply(index, n, dtype=np.intp)
             index += np.arange(sub, sub + len(index))[:, None]
             chars.ravel().take(index, out=codes[first + sub:first + sub + len(index)], mode="clip")
-        for i in np.flatnonzero(~(fixed[:n] & fixed[n:])).tolist():
-            fallback[first + i] = template % (ra[first + i], rb[first + i])
-    return _PairTexts(np, codes, fallback)
+    return _PairTexts(np, codes)
 
 
 class _PairTexts:
     """The pair texts of ``_pair_texts_numpy``: ``codes`` holds each pair's
-    text as one row of ASCII codes padded with NUL, except the pairs that
-    ``fallback`` maps to their text.  A slice is the list of those str.
+    text as one row of ASCII codes padded with NUL.  A slice is the list of
+    those str.
 
-    The str are made a chunk of _BLOCK_CELLS // 2 pairs at a time, starting
+    The str are made a chunk of _BLOCK_PAIRS pairs at a time, starting
     at the slice asked for, and the last chunk is kept, so the grid rows of
     a layer, read in order, are each made once per layer.  A row of codes
     takes about half the memory of its str, so a surface holds its rate
     pairs in half the memory, at the cost of making a mirrored layer's str
     twice."""
 
-    def __init__(self, np, codes, fallback: dict):
+    def __init__(self, np, codes):
         self._np = np
         self._codes = codes
-        self._fallback = fallback
-        self._fallback_at = sorted(fallback)
         self._chunk = (0, 0, [])
 
     def __len__(self) -> int:
@@ -293,12 +319,9 @@ class _PairTexts:
         start, stop, _ = rows.indices(len(self))
         first, last, texts = self._chunk
         if not first <= start <= stop <= last:
-            first, last = start, min(len(self), max(stop, start + _BLOCK_CELLS // 2))
+            first, last = start, min(len(self), max(stop, start + _BLOCK_PAIRS))
             width = self._codes.shape[1]
             texts = self._codes[first:last].astype(self._np.uint32).view(f"U{width}").ravel().tolist()
-            at = self._fallback_at
-            for i in at[bisect.bisect_left(at, first):bisect.bisect_left(at, last)]:
-                texts[i - first] = self._fallback[i]
             self._chunk = first, last, texts
         return texts[start - first:stop - first]
 
@@ -614,7 +637,9 @@ SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 #: 4 * grid**2 rows, one grid row of one layer per write; at 513 the
 #: command peaks at about 115 MB with CSV output (70 MB of text) and with
 #: JSON (79 MB), mostly the rate columns and their formatted pairs
-#: (Python 3.11, 64-bit Linux).
+#: (Python 3.11, 64-bit Linux).  In a process with numpy loaded, the
+#: serializer's numpy body holds the pairs as character codes, about 25 MB
+#: less at 513 (97 against 122 MB there, numpy's own share included).
 MAX_GRID = 513
 
 #: Largest --draws.  The Monte-Carlo check holds 100 * draws samples at
