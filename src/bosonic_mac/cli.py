@@ -156,9 +156,9 @@ def _scaled_digits(np, x, s):
 
 def _fixed_digits(np, x):
     """``(fixed, k, n)`` for the array ``x``: whether "%.17g" writes each
-    value from its digits here, its decimal exponent k in [-4, 15], and its
-    17 significant digits as the integer n in [10**16, 10**17).  k is 0 and
-    n is 10**16 where ``fixed`` is false."""
+    value in fixed notation with a decimal exponent k from -4 to 15, that
+    k, and the 17 significant digits as the integer n in [10**16, 10**17).
+    k is 0 and n is 10**16 where ``fixed`` is false."""
     fixed = (x >= 1e-4) & (x < 1e16)
     x = np.where(fixed, x, 1.0)
     k = np.floor(np.log10(x)).astype(np.int64)
@@ -225,14 +225,14 @@ def _pair_layouts(np, sep: str, end: str):
 
     A block's characters are rows of its values: the constant rows
     ``consts`` (NUL, ".", "0", then ``sep`` and ``end``), then _TEXT_ROWS
-    rows of the value's digits or text.  The values of a block are its r_max_a values, then its r_max_b
-    values, so row r of value i of n pairs is entry 2 r n + i of the flat
-    block for r_max_a and 2 r n + n + i for r_max_b: a table entry holds
-    2 r or 2 r + 1, and entry * n + i is the flat index.  Each layout of
-    _LAYOUTS has a row of ``head``, r_max_a's text and
-    ``sep``, and a tail, r_max_b's text and ``end``: row ``tail_at[c] - s``
-    of ``tails`` is layout c's tail from column s on.  Columns past a text
-    hold 0, which is NUL.
+    rows of each value's digits or text.  The values of a block are its
+    r_max_a values, then its r_max_b values, so row r of value i of n
+    pairs is entry 2 r n + i of the flat block for r_max_a and
+    2 r n + n + i for r_max_b: a table entry holds 2 r or 2 r + 1, and
+    entry * n + i is the flat index.  Each layout of _LAYOUTS has a row of
+    ``head``, r_max_a's text and ``sep``, and a tail, r_max_b's text and
+    ``end``: row ``tail_at[c] - s`` of ``tails`` is layout c's tail from
+    column s on.  Columns past a text hold 0, which is NUL.
     """
     consts = "\0.0" + sep + end
 
@@ -267,9 +267,8 @@ def _pair_texts_numpy(np, ra, rb, sep: str, end: str) -> "_PairTexts":
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         _raise_non_finite(ra, rb)
     codes = np.empty((len(ra), head.shape[1]), np.uint8)
-    step = _BLOCK_PAIRS
-    for first in range(0, len(ra), step):
-        x = np.concatenate((a[first:first + step], b[first:first + step]))
+    for first in range(0, len(ra), _BLOCK_PAIRS):
+        x = np.concatenate((a[first:first + _BLOCK_PAIRS], b[first:first + _BLOCK_PAIRS]))
         n = len(x) // 2
         fixed, k, digits = _fixed_digits(np, x)
         chars = np.empty((len(consts) + _TEXT_ROWS, 2 * n), np.uint8)
@@ -278,11 +277,11 @@ def _pair_texts_numpy(np, ra, rb, sep: str, end: str) -> "_PairTexts":
         layout = (k - _EXPONENTS[0]) * 17 + _write_digits(np, digits, text_rows[:17])
         other = np.flatnonzero(~fixed)
         if other.size:  # "%.17g" texts, padded with spaces to _TEXT_ROWS
-            texts = (f"%-{_TEXT_ROWS}.17g" * other.size) % tuple(x[other].tolist())
-            texts = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(-1, _TEXT_ROWS)
-            text = texts != ord(" ")
-            layout[other] = _VERBATIM - 1 + text.sum(axis=1)
-            text_rows[:, other] = (texts * text).T
+            padded = (f"%-{_TEXT_ROWS}.17g" * other.size) % tuple(x[other].tolist())
+            padded = np.frombuffer(padded.encode("ascii"), np.uint8).reshape(-1, _TEXT_ROWS)
+            is_text = padded != ord(" ")
+            layout[other] = _VERBATIM - 1 + is_text.sum(axis=1)
+            text_rows[:, other] = (padded * is_text).T
         head_rows, tail_rows = layout[:n], layout[n:]
         cut = head_len[head_rows]
         for sub in range(0, n, _GATHER_PAIRS):
@@ -292,7 +291,7 @@ def _pair_texts_numpy(np, ra, rb, sep: str, end: str) -> "_PairTexts":
             index = np.multiply(index, n, dtype=np.intp)
             index += np.arange(sub, sub + len(index))[:, None]
             chars.ravel().take(index, out=codes[first + sub:first + sub + len(index)], mode="clip")
-    return _PairTexts(np, codes)
+    return _PairTexts(codes)
 
 
 class _PairTexts:
@@ -307,8 +306,7 @@ class _PairTexts:
     pairs in half the memory, at the cost of making a mirrored layer's str
     twice."""
 
-    def __init__(self, np, codes):
-        self._np = np
+    def __init__(self, codes):
         self._codes = codes
         self._chunk = (0, 0, [])
 
@@ -321,7 +319,7 @@ class _PairTexts:
         if not first <= start <= stop <= last:
             first, last = start, min(len(self), max(stop, start + _BLOCK_PAIRS))
             width = self._codes.shape[1]
-            texts = self._codes[first:last].astype(self._np.uint32).view(f"U{width}").ravel().tolist()
+            texts = self._codes[first:last].astype("uint32").view(f"U{width}").ravel().tolist()
             self._chunk = first, last, texts
         return texts[start - first:stop - first]
 

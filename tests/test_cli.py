@@ -399,7 +399,8 @@ def _format_corpus(rng) -> list:
     parts = [np.exp(rng.uniform(math.log(5e-324), math.log(sys.float_info.max), 500_000)),
              rng.uniform(0.0, 30.0, 500_000),
              rng.uniform(0.0, sys.float_info.min, 1_000),
-             [0.0, -0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.min]]
+             [0.0, -0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.min,
+              -5e-324, -sys.float_info.min, -sys.float_info.max]]  # 24 characters
     for e in range(-323, 309):
         p = float(f"1e{e}")
         parts.append([math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)])
@@ -440,8 +441,8 @@ def test_serializer_bodies_give_the_same_surface_bytes():
         grid = 65 if i < 4 else 2 + int(63 * rng.random() ** 3)
         eta1, eta2 = (rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
         nt = rng.choice((0.0, 10.0 ** rng.uniform(-12.0, 12.0)))
-        na, nb = (rng.choice((0.0, 10.0 ** rng.uniform(-300.0, 15.0), 10.0 ** rng.uniform(-3.0, 3.0)))
-                  for _ in range(2))
+        na, nb = (rng.choice((0.0, 10.0 ** rng.uniform(-300.0, 15.0),
+                              10.0 ** rng.uniform(-3.0, 3.0))) for _ in range(2))
         surface = region.squeeze_surface(ChannelParams(eta1, eta2, nt), PhotonBudget(na, nb), grid)
         for dump in (lambda: cli.dumps_csv(cli.SURFACE_COLUMNS, surface),
                      lambda: cli.dumps_json({"grid": grid, "rows": surface})):
