@@ -15,7 +15,7 @@ import pytest
 
 import bosonic_mac
 from bosonic_mac import _kernels as kernels
-from bosonic_mac import ChannelParams, PhotonBudget, cli, region
+from bosonic_mac import ChannelParams, PhotonBudget, _numpy_text, cli, region
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -420,9 +420,9 @@ def test_numpy_pair_texts_match_the_template(sep, end):
     # [1e-4, 1e16), at its edges and far outside it.
     values = _format_corpus(np.random.default_rng(19))
     ra, rb = values[0::2], values[1::2]
-    fixed = cli._fixed_digits(np, np.array(values))[0]
+    fixed = _numpy_text._fixed_digits(np, np.array(values))[0]
     assert fixed.sum() > 500_000 and not fixed.all()
-    texts = cli._pair_texts_numpy(np, ra, rb, sep, end)
+    texts = _numpy_text.pair_texts(np, ra, rb, sep, end)
     want = ["%.17g" % a + sep + "%.17g" % b + end for a, b in zip(ra, rb)]
     got = texts[:]
     assert len(got) == len(want)
