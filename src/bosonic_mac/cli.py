@@ -29,7 +29,7 @@ the 17 digits of each value from 1e-4 to 1e16 in exact arithmetic
 it) and leaves every other value to "%.17g"; see ``_numpy_text``.  It
 costs a fixed 0.2 ms or so per surface, so it is slower below about
 17 x 17 cells and faster above: at grid 129 a surface's text takes about
-16.5 ms against 30 ms, formatting, joining and writing together.
+16.5 ms against 33 ms, formatting, joining and writing together.
 """
 
 import argparse
@@ -436,8 +436,8 @@ SURFACE_COLUMNS = ("p_A", "p_B", "sign_A", "sign_B", "r_max_a", "r_max_b")
 #: command peaks at about 115 MB with CSV output (70 MB of text) and with
 #: JSON (79 MB), mostly the rate columns and their formatted pairs
 #: (Python 3.11, 64-bit Linux).  In a process with numpy loaded, the
-#: serializer's numpy body holds the pairs as character codes, about 25 MB
-#: less at 513 (97 against 122 MB there, numpy's own share included).
+#: serializer's numpy body holds the pairs as character codes, about 20 MB
+#: less at 513 (101 against 122 MB there, numpy's own share included).
 MAX_GRID = 513
 
 #: Largest --draws.  The Monte-Carlo check holds 100 * draws samples at
